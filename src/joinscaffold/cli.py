@@ -22,6 +22,7 @@ from .canonical import canonical_json
 from .costs import (
     CostWeights,
     build_schema_graph,
+    candidate_join_pairs,
     graph_document,
     load_graph_document,
 )
@@ -167,7 +168,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
     schema = _load_schema_input(args.schema)
     stats = None
     if args.db and args.profile:
-        stats = profile_statistics(schema, args.db, config.sample_limit)
+        pairs = candidate_join_pairs(schema, config.weights)
+        stats = profile_statistics(schema, args.db, config.sample_limit, pairs)
     overrides = _load_overrides(args.override_costs)
     graph = build_schema_graph(
         schema, stats, config.weights, cost_overrides=overrides

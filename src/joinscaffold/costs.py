@@ -6,8 +6,9 @@ edge carries three [0, 1] cost components blended into a total:
 
     total = alpha * connect + beta * semantic + gamma * statistical
 
-* connect — FK indicator plus name and type dissimilarity of the closest
-  column pair, each internal term weighted equally;
+* connect — FK indicator, name dissimilarity of the closest column-name
+  pair, and a type term that is 0 when the tables share a declared column
+  type, each internal term weighted equally;
 * semantic — one minus the cosine of the two tables' mean name embeddings
   (table name averaged with all column names);
 * statistical — one minus join selectivity and one minus correlation
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Container, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -122,22 +123,6 @@ def table_similarity(
     return best, best_pair
 
 
-def _best_name_pair(
-    ti: TableDef, tj: TableDef, provider: EmbeddingProvider
-) -> tuple[float, ColumnDef, ColumnDef]:
-    """Max name-cosine column pair (type term dropped), lexicographic ties."""
-    best = -1.0
-    pair: tuple[ColumnDef, ColumnDef] | None = None
-    for ci in sorted(ti.columns, key=lambda c: c.name):
-        for cj in sorted(tj.columns, key=lambda c: c.name):
-            cos = cosine01(provider.embed(ci.name), provider.embed(cj.name))
-            if cos > best:
-                best = cos
-                pair = (ci, cj)
-    assert pair is not None
-    return best, pair[0], pair[1]
-
-
 def connection_cost(
     ti: TableDef,
     tj: TableDef,
@@ -145,21 +130,16 @@ def connection_cost(
     weights: CostWeights = DEFAULT_WEIGHTS,
     provider: Optional[EmbeddingProvider] = None,
 ) -> float:
+    """FK indicator, max column-name cosine and shared declared type, blended."""
     provider = provider or default_provider()
     not_fk = 0.0 if schema.has_fk(ti.name, tj.name) else 1.0
-    sim_name, ci, cj = _best_name_pair(ti, tj, provider)
-    if type_match(ci, cj) == 1.0:
-        sim_type = 1.0
-    else:
-        sim_type = (
-            1.0
-            if any(
-                type_match(a, b) == 1.0
-                for a in ti.columns
-                for b in tj.columns
-            )
-            else 0.0
-        )
+    sim_name = max(
+        cosine01(provider.embed(ci.name), provider.embed(cj.name))
+        for ci in ti.columns
+        for cj in tj.columns
+    )
+    shared_type = {c.declared_type for c in ti.columns} & {c.declared_type for c in tj.columns}
+    sim_type = 1.0 if shared_type else 0.0
     return weights.w1 * not_fk + weights.w2 * (1.0 - sim_name) + weights.w3 * (1.0 - sim_type)
 
 
@@ -247,6 +227,35 @@ class SchemaGraph:
     def sorted_edges(self) -> list[tuple[str, str, EdgeCost]]:
         return [(a, b, c) for (a, b), c in sorted(self.edges.items())]
 
+    def without(self, pairs: Iterable[tuple[str, str]]) -> "SchemaGraph":
+        """This graph minus the edges between the given table pairs, if present."""
+        drop = {edge_key(a, b) for a, b in pairs}
+        return SchemaGraph(
+            self.vertices, {k: c for k, c in self.edges.items() if k not in drop}
+        )
+
+
+def _admitted_pairs(
+    schema: Schema,
+    weights: CostWeights,
+    provider: EmbeddingProvider,
+    overrides: Container[EdgeKey] = (),
+) -> Iterator[tuple[TableDef, TableDef, bool, tuple[str, str]]]:
+    """The edge-admission rule, applied to table pairs in sorted order.
+
+    A pair is admitted iff a foreign key links it, its best column-pair
+    similarity reaches ``tau``, or it is in ``overrides``. Yields both tables,
+    the FK flag and the best column pair of each admitted pair.
+    """
+    names = sorted(schema.table_names)
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            ti, tj = schema.table(a), schema.table(b)
+            has_fk = schema.has_fk(a, b)
+            s, best_pair = table_similarity(ti, tj, weights, provider)
+            if has_fk or s >= weights.tau or (a, b) in overrides:
+                yield ti, tj, has_fk, best_pair
+
 
 def candidate_join_pairs(
     schema: Schema,
@@ -255,30 +264,16 @@ def candidate_join_pairs(
 ) -> list[JoinPair]:
     """Join-column pairs the edge rule admits: FK columns, else best column pair."""
     provider = provider or default_provider()
-    pairs: list[JoinPair] = []
-    seen: set[JoinPair] = set()
-    names = sorted(schema.table_names)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            fks = schema.fk_between(a, b)
-            if fks:
-                for fk in fks:
-                    key = (
-                        (fk.from_table, fk.from_column, fk.to_table, fk.to_column)
-                        if (fk.from_table, fk.from_column) <= (fk.to_table, fk.to_column)
-                        else (fk.to_table, fk.to_column, fk.from_table, fk.from_column)
-                    )
-                    if key not in seen:
-                        seen.add(key)
-                        pairs.append(key)
-                continue
-            s, (ca, cb) = table_similarity(schema.table(a), schema.table(b), weights, provider)
-            if s >= weights.tau:
-                key = (a, ca, b, cb) if (a, ca) <= (b, cb) else (b, cb, a, ca)
-                if key not in seen:
-                    seen.add(key)
-                    pairs.append(key)
-    return pairs
+    ends: list[tuple[tuple[str, str], tuple[str, str]]] = []
+    for ti, tj, has_fk, (ca, cb) in _admitted_pairs(schema, weights, provider):
+        if has_fk:
+            ends += [
+                ((fk.from_table, fk.from_column), (fk.to_table, fk.to_column))
+                for fk in schema.fk_between(ti.name, tj.name)
+            ]
+        else:
+            ends.append(((ti.name, ca), (tj.name, cb)))
+    return list(dict.fromkeys((*min(x, y), *max(x, y)) for x, y in ends))
 
 
 def build_schema_graph(
@@ -287,47 +282,36 @@ def build_schema_graph(
     weights: CostWeights = DEFAULT_WEIGHTS,
     provider: Optional[EmbeddingProvider] = None,
     cost_overrides: Optional[Mapping[tuple[str, str], float]] = None,
-    excluded_edges: Iterable[tuple[str, str]] = (),
 ) -> SchemaGraph:
     """Assemble the weighted schema graph.
 
     ``cost_overrides`` maps table pairs to pinned total costs (every component
     is set to the pinned value, which keeps the blend identity intact); pairs
-    listed there are always admitted. ``excluded_edges`` drops pairs from the
-    result regardless of admission — the re-planning loop's constraint channel.
+    listed there are always admitted. The graph does not depend on the
+    re-planning loop's edge exclusions, so the loop builds it once per
+    question and drops excluded edges with ``SchemaGraph.without``.
     """
     provider = provider or default_provider()
     overrides = {edge_key(a, b): c for (a, b), c in (cost_overrides or {}).items()}
-    excluded = {edge_key(a, b) for a, b in excluded_edges}
-    vertices = tuple(sorted(schema.table_names))
     edges: dict[EdgeKey, EdgeCost] = {}
-    for i, a in enumerate(vertices):
-        for b in vertices[i + 1 :]:
-            key = (a, b)
-            if key in excluded:
-                continue
-            ti, tj = schema.table(a), schema.table(b)
-            has_fk = schema.has_fk(a, b)
-            s, best_pair = table_similarity(ti, tj, weights, provider)
-            admitted = has_fk or s >= weights.tau or key in overrides
-            if not admitted:
-                continue
-            if key in overrides:
-                c = overrides[key]
-                edges[key] = EdgeCost(
-                    connect=c, semantic=c, statistical=c, total=c,
-                    has_fk=has_fk, best_column_pair=best_pair,
-                )
-                continue
-            connect = connection_cost(ti, tj, schema, weights, provider)
-            sem = semantic_cost(ti, tj, provider)
-            stat = statistical_cost(ti, tj, stats, weights)
-            total = weights.alpha * connect + weights.beta * sem + weights.gamma * stat
+    for ti, tj, has_fk, best_pair in _admitted_pairs(schema, weights, provider, overrides):
+        key = (ti.name, tj.name)
+        if key in overrides:
+            c = overrides[key]
             edges[key] = EdgeCost(
-                connect=connect, semantic=sem, statistical=stat, total=total,
+                connect=c, semantic=c, statistical=c, total=c,
                 has_fk=has_fk, best_column_pair=best_pair,
             )
-    return SchemaGraph(vertices, edges)
+            continue
+        connect = connection_cost(ti, tj, schema, weights, provider)
+        sem = semantic_cost(ti, tj, provider)
+        stat = statistical_cost(ti, tj, stats, weights)
+        total = weights.alpha * connect + weights.beta * sem + weights.gamma * stat
+        edges[key] = EdgeCost(
+            connect=connect, semantic=sem, statistical=stat, total=total,
+            has_fk=has_fk, best_column_pair=best_pair,
+        )
+    return SchemaGraph(tuple(sorted(schema.table_names)), edges)
 
 
 def graph_document(graph: SchemaGraph) -> str:

@@ -422,15 +422,12 @@ def find_containing_tables(
         if exact:
             found = tuple(sorted(exact))
         else:
-            vec = provider.embed(phrase)
-            similar = []
-            for t in schema.tables:
-                for c in t.columns:
-                    cos = cosine01(vec, provider.embed(c.name))
-                    sim = weights.sim_alpha * cos + (1.0 - weights.sim_alpha)
-                    if sim >= weights.tau:
-                        similar.append((t.name, c.name))
-            found = tuple(sorted(similar))
+            found = tuple(sorted(
+                (t.name, c.name)
+                for t in schema.tables
+                for c in t.columns
+                if phrase_matches_name(phrase, c.name, weights, provider)
+            ))
         if found:
             matches[phrase] = found
             tables.update(t for t, _c in found)

@@ -1,11 +1,11 @@
 """End-to-end planning loop: decompose, solve, prompt, generate, validate.
 
-One run performs Stage-1 decomposition once, then up to ``max_iterations``
-(default 3) rounds of: schema-graph build (honoring accumulated edge
-exclusions), Steiner solve, prompt assembly, SQL generation through a
-pluggable client, and three-level validation. A level-1 failure returns
-immediately with the ``syntax_error`` outcome; level-2/3 failures feed the
-re-planning rules; three failed rounds yield ``max_iterations``.
+One run performs Stage-1 decomposition and the schema-graph build once, then
+up to ``max_iterations`` (default 3) rounds of: dropping the accumulated edge
+exclusions from that graph, Steiner solve, prompt assembly, SQL generation
+through a pluggable client, and three-level validation. A level-1 failure
+returns immediately with the ``syntax_error`` outcome; level-2/3 failures feed
+the re-planning rules; three failed rounds yield ``max_iterations``.
 
 Re-planning rules by violation code:
 
@@ -13,8 +13,8 @@ Re-planning rules by violation code:
   the next prompt's critical requirements.
 * UNMAPPED_ATTRIBUTE — the phrase is re-matched against the schema and any
   owning tables join the terminal set.
-* IRRELEVANT_JOIN — the offending edge joins a per-run exclusion list consumed
-  by the next graph build.
+* IRRELEVANT_JOIN — the offending edge joins a per-run exclusion list that is
+  dropped from the graph before the next solve.
 * AGG_MISMATCH / CONSTRAINT_MISMATCH / GROUPBY_RULE — terminals unchanged; the
   violation text is appended to the critical-requirements section.
 """
@@ -32,7 +32,13 @@ from typing import Optional, Protocol, Sequence, Union
 import requests
 
 from .canonical import canonical_json
-from .costs import CostWeights, DEFAULT_WEIGHTS, build_schema_graph, edge_key
+from .costs import (
+    CostWeights,
+    DEFAULT_WEIGHTS,
+    build_schema_graph,
+    candidate_join_pairs,
+    edge_key,
+)
 from .decompose import (
     DecompositionResult,
     TerminalSet,
@@ -352,7 +358,9 @@ def run_pipeline(
     stats: Optional[StatsProfile] = None,
     provider: Optional[EmbeddingProvider] = None,
 ) -> PipelineResult:
-    """Stage 1 once, then the bounded plan-generate-validate loop."""
+    """Decompose and build the graph once, then run the bounded re-planning loop."""
+    if db_path is None:
+        raise PipelineError("a database path is required for validation")
     provider = provider or default_provider()
     decomposition = decompose_question(question, schema, config.weights, provider)
     terminals = decomposition.terminals
@@ -360,8 +368,10 @@ def run_pipeline(
         raise PipelineError(
             "no terminal tables identified for this question; nothing to plan"
         )
-    if stats is None and config.profile_stats and db_path is not None:
-        stats = profile_statistics(schema, db_path, config.sample_limit)
+    if stats is None and config.profile_stats:
+        pairs = candidate_join_pairs(schema, config.weights, provider)
+        stats = profile_statistics(schema, db_path, config.sample_limit, pairs)
+    graph = build_schema_graph(schema, stats, config.weights, provider)
 
     excluded: tuple[tuple[str, str], ...] = ()
     must_include: tuple[str, ...] = ()
@@ -369,16 +379,11 @@ def run_pipeline(
     trace: list[IterationTrace] = []
 
     for iteration in range(1, config.max_iterations + 1):
-        graph = build_schema_graph(
-            schema, stats, config.weights, provider, excluded_edges=excluded
-        )
-        scaffold = solve_steiner(graph, terminals.tables)
+        scaffold = solve_steiner(graph.without(excluded), terminals.tables)
         prompt = build_prompt(
             scaffold, schema, question, config, must_include, extra_requirements
         )
         sql = client.generate(prompt.text(), question)
-        if db_path is None:
-            raise PipelineError("a database path is required for validation")
         report = validate_all(
             sql,
             db_path,

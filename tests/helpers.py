@@ -60,3 +60,19 @@ def engineer_similarity_cosine(target: float, sim_alpha: float = 0.85) -> float:
             return c
         c = math.nextafter(c, 0.0 if value > target else 2.0)
     raise AssertionError(f"could not engineer similarity {target}")
+
+
+def admitted_join_columns(schema, graph) -> list[tuple[str, str, str, str]]:
+    """Join columns of each edge in ``graph``: FK columns on FK edges, else the
+    edge's best column pair, as sorted (table, column, table, column) keys."""
+    keys = []
+    for a, b, cost in graph.sorted_edges():
+        if cost.has_fk:
+            ends = [
+                ((fk.from_table, fk.from_column), (fk.to_table, fk.to_column))
+                for fk in schema.fk_between(a, b)
+            ]
+        else:
+            ends = [((a, cost.best_column_pair[0]), (b, cost.best_column_pair[1]))]
+        keys += [(*min(x, y), *max(x, y)) for x, y in ends]
+    return list(dict.fromkeys(keys))

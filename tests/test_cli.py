@@ -3,8 +3,11 @@ import json
 import pytest
 
 import golden
+from helpers import admitted_join_columns
 
 from joinscaffold.cli import main
+from joinscaffold.costs import CostWeights, build_schema_graph, statistical_cost
+from joinscaffold.profiling import profile_statistics
 
 
 @pytest.fixture()
@@ -56,6 +59,27 @@ def test_graph_command(capsys, analytics_schema_file, override_file):
     assert totals[("ga_sessions", "totals")] == 0.08
     assert totals[("ga_sessions", "hits")] == 0.09
     assert totals[("hits", "totals")] == 0.58
+
+
+def test_graph_profile_uses_configured_tau(capsys, company_db, company_schema):
+    code, out, _err = run_cli(
+        capsys, "graph", company_db, "--db", company_db, "--profile", "--tau", "0.6"
+    )
+    assert code == 0
+    weights = CostWeights(tau=0.6)
+    graph = build_schema_graph(company_schema, weights=weights)
+    assert not graph.edge("employees", "projects").has_fk  # admitted only at tau 0.6
+    stats = profile_statistics(
+        company_schema, company_db, pairs=admitted_join_columns(company_schema, graph)
+    )
+    expected = {
+        (a, b): statistical_cost(
+            company_schema.table(a), company_schema.table(b), stats, weights
+        )
+        for a, b, _cost in graph.sorted_edges()
+    }
+    got = {(e["a"], e["b"]): e["statistical"] for e in json.loads(out)["edges"]}
+    assert got == expected
 
 
 def test_graph_costs_table(capsys, analytics_schema_file, override_file):

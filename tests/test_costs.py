@@ -1,19 +1,31 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import FixedProvider, engineer_cosine_pair, engineer_similarity_cosine
+from helpers import (
+    FixedProvider,
+    admitted_join_columns,
+    engineer_cosine_pair,
+    engineer_similarity_cosine,
+)
 
+from joinscaffold import costs
 from joinscaffold.costs import (
     CostWeights,
     DEFAULT_WEIGHTS,
     SchemaGraph,
     build_schema_graph,
+    candidate_join_pairs,
     column_pair_similarity,
     connection_cost,
     semantic_cost,
     statistical_cost,
     table_embedding,
     table_similarity,
+    type_match,
     graph_document,
     load_graph_document,
 )
@@ -212,13 +224,89 @@ def test_excluded_edges_are_dropped(analytics_schema):
         ("ga_sessions", "hits"): 0.09,
         ("hits", "totals"): 0.58,
     }
-    graph = build_schema_graph(
-        analytics_schema,
-        cost_overrides=overrides,
-        excluded_edges=[("totals", "ga_sessions")],
+    graph = build_schema_graph(analytics_schema, cost_overrides=overrides)
+    filtered = graph.without([("totals", "ga_sessions")])
+    assert not filtered.has_edge("ga_sessions", "totals")
+    assert filtered.has_edge("ga_sessions", "hits")
+    assert filtered.vertices == graph.vertices
+    assert graph.has_edge("ga_sessions", "totals")  # the source graph is unchanged
+
+
+def test_candidate_join_pairs_are_admitted_edges_join_columns(company_schema):
+    similarity_edges = 0
+    for tau in (0.5, 0.6, 0.75, 0.9):
+        weights = CostWeights(tau=tau)
+        graph = build_schema_graph(company_schema, weights=weights)
+        similarity_edges += sum(not c.has_fk for c in graph.edges.values())
+        assert candidate_join_pairs(company_schema, weights) == admitted_join_columns(
+            company_schema, graph
+        )
+    assert similarity_edges  # both the FK and the best-pair branch are covered
+
+
+def _reference_connection_cost(ti, tj, schema, weights, provider):
+    """Connection cost as first written: the types of the max-name-cosine pair
+    (lexicographic ties), falling back to any same-typed pair."""
+    best = -1.0
+    pair = None
+    for ci in sorted(ti.columns, key=lambda c: c.name):
+        for cj in sorted(tj.columns, key=lambda c: c.name):
+            cos = cosine01(provider.embed(ci.name), provider.embed(cj.name))
+            if cos > best:
+                best = cos
+                pair = (ci, cj)
+    if type_match(*pair) == 1.0:
+        sim_type = 1.0
+    else:
+        sim_type = (
+            1.0
+            if any(type_match(a, b) == 1.0 for a in ti.columns for b in tj.columns)
+            else 0.0
+        )
+    not_fk = 0.0 if schema.has_fk(ti.name, tj.name) else 1.0
+    return weights.w1 * not_fk + weights.w2 * (1.0 - best) + weights.w3 * (1.0 - sim_type)
+
+
+_columns = st.lists(
+    st.tuples(
+        st.text(alphabet="abc_", min_size=1, max_size=5),
+        st.sampled_from(["integer", "text", "real"]),
+    ),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda c: c[0],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_columns, _columns, st.booleans())
+def test_connection_cost_matches_argmax_reference(cols_a, cols_b, fk):
+    provider = TrigramEmbeddingProvider()
+    ti = TableDef("ta", tuple(col(n, t) for n, t in cols_a))
+    tj = TableDef("tb", tuple(col(n, t) for n, t in cols_b))
+    fks = [ForeignKey("tb", cols_b[0][0], "ta", cols_a[0][0])] if fk else []
+    schema = make_schema([ti, tj], fks)
+    assert connection_cost(ti, tj, schema, DEFAULT_WEIGHTS, provider) == (
+        _reference_connection_cost(ti, tj, schema, DEFAULT_WEIGHTS, provider)
     )
-    assert not graph.has_edge("ga_sessions", "totals")
-    assert graph.has_edge("ga_sessions", "hits")
+
+
+def test_traced_run_scores_every_table_pair_once(company_schema):
+    # The traced benchmark run counts costs.table_pairs_scored by wrapping
+    # costs.table_similarity; a graph build that bypassed it would read 0.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    rec = spans.Recorder()
+    spans.instrument(rec)
+    try:
+        costs.build_schema_graph(company_schema)
+    finally:
+        rec.unpatch()
+    n = len(company_schema.table_names)
+    assert rec.counters["setup"]["costs.table_pairs_scored"] == n * (n - 1) // 2
+    assert rec.counters["setup"]["costs.build_graph_calls"] == 1
 
 
 def test_total_is_convex_combination(analytics_schema):

@@ -6,7 +6,8 @@ import pytest
 
 import golden
 
-from joinscaffold.costs import build_schema_graph
+from joinscaffold import pipeline
+from joinscaffold.costs import CostWeights, build_schema_graph
 from joinscaffold.decompose import (
     DecompositionResult,
     TerminalSet,
@@ -286,6 +287,87 @@ def test_run_irrelevant_join_excludes_edge_next_iteration(
     assert result.iterations_used == 2
     assert result.trace[0].report.by_code("IRRELEVANT_JOIN")
     assert ("hits", "totals") in result.trace[1].excluded_edges
+
+
+def _record_calls(monkeypatch, name):
+    """Wrap ``pipeline.<name>``; returns the list of results, one per call."""
+    results = []
+    original = getattr(pipeline, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(pipeline, name, wrapper)
+    return results
+
+
+def test_run_builds_graph_once_and_filters_exclusions(
+    analytics_schema, analytics_db, monkeypatch
+):
+    builds = _record_calls(monkeypatch, "build_schema_graph")
+    solved_on = []
+    original_solve = pipeline.solve_steiner
+
+    def solve(graph, terminals):
+        solved_on.append(graph)
+        return original_solve(graph, terminals)
+
+    monkeypatch.setattr(pipeline, "solve_steiner", solve)
+    bad_sql = (
+        "SELECT g.date, t.pageviews FROM ga_sessions g "
+        "JOIN totals t ON g.session_id = t.session_id "
+        "JOIN hits h ON t.session_id = h.session_id"
+    )
+    client = StubGenerator(responses=[bad_sql, golden.ANALYTICS_GOLDEN_SQL])
+    result = run_pipeline(
+        golden.ANALYTICS_QUESTION, analytics_schema, analytics_db, NO_PROFILE, client
+    )
+    assert result.iterations_used == 2
+    assert len(builds) == 1
+    first, second = solved_on
+    assert first == builds[0]
+    assert first.has_edge("hits", "totals")
+    expected = {k: c for k, c in first.edges.items() if k != ("hits", "totals")}
+    assert second.vertices == first.vertices
+    assert second.edges == expected
+
+
+def test_run_profiles_edges_admitted_under_configured_tau(
+    company_schema, company_db, monkeypatch
+):
+    # At tau 0.6 employees~projects is admitted by similarity alone; profiling
+    # the default-tau candidates would leave it at the neutral 0.5.
+    profiles = _record_calls(monkeypatch, "profile_statistics")
+    builds = _record_calls(monkeypatch, "build_schema_graph")
+    config = PipelineConfig(weights=CostWeights(tau=0.6))
+    client = StubGenerator(default="SELECT p.budget FROM projects p")
+    run_pipeline(
+        "What is the total budget of projects per department?",
+        company_schema,
+        company_db,
+        config,
+        client,
+    )
+    (stats,), (graph,) = profiles, builds
+    assert not graph.edge("employees", "projects").has_fk
+    for a, b, _cost in graph.sorted_edges():
+        assert stats.table_pair_stats(a, b) is not None, (a, b)
+
+
+def test_run_requires_database_before_planning(analytics_schema, monkeypatch):
+    class MustNotGenerate:
+        def generate(self, prompt, question):
+            raise AssertionError("generator called without a database")
+
+    def must_not_decompose(*args, **kwargs):
+        raise AssertionError("planning started without a database")
+
+    monkeypatch.setattr(pipeline, "decompose_question", must_not_decompose)
+    with pytest.raises(PipelineError, match="database path is required"):
+        run_pipeline(
+            golden.ANALYTICS_QUESTION, analytics_schema, None, NO_PROFILE, MustNotGenerate()
+        )
 
 
 def test_run_is_byte_reproducible(analytics_schema, analytics_db):
