@@ -125,15 +125,20 @@ class HttpEmbeddingProvider:
                 )
                 resp.raise_for_status()
                 vectors = resp.json()["vectors"]
-            except (requests.RequestException, KeyError, ValueError) as exc:
+                count = len(vectors)
+            except (requests.RequestException, KeyError, TypeError, ValueError) as exc:
                 raise EmbeddingError(f"embedding service failure: {exc}") from exc
-            if len(vectors) != len(missing):
+            if count != len(missing):
                 raise EmbeddingError(
-                    f"embedding service returned {len(vectors)} vectors "
-                    f"for {len(missing)} texts"
+                    f"embedding service returned {count} vectors for {len(missing)} texts"
                 )
             for text, raw in zip(missing, vectors):
-                vec = np.asarray(raw, dtype=np.float64)
+                try:
+                    vec = np.asarray(raw, dtype=np.float64)
+                except (TypeError, ValueError) as exc:
+                    raise EmbeddingError(f"malformed embedding for {text!r}: {exc}") from exc
+                if vec.ndim != 1:
+                    raise EmbeddingError(f"embedding for {text!r} is not a flat vector")
                 if not np.all(np.isfinite(vec)):
                     raise EmbeddingError(f"non-finite embedding for {text!r}")
                 if self.dimension == 0:

@@ -83,6 +83,12 @@ class PipelineConfig:
     backoff: float = 0.5
     timeout: float = 60.0
 
+    def __post_init__(self) -> None:
+        for name in ("max_iterations", "retries"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+
     @classmethod
     def from_env(cls, **overrides) -> "PipelineConfig":
         env = os.environ
@@ -168,8 +174,11 @@ class HttpGenerator:
                     timeout=self.config.timeout,
                 )
                 resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, ValueError) as exc:
+                content = resp.json()["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"message content is {type(content).__name__}, not a string")
+                return content
+            except (requests.RequestException, LookupError, TypeError, ValueError) as exc:
                 last_error = exc
                 if attempt + 1 < self.config.retries:
                     time.sleep(delay)

@@ -53,6 +53,9 @@ CODES = (
     "EXECUTION",
 )
 
+# Rows fetched per step when counting a result, so no full row list is held.
+FETCH_BATCH_ROWS = 4096
+
 
 class InfrastructureError(RuntimeError):
     """Environment failure (unreachable database), distinct from validation."""
@@ -119,8 +122,10 @@ def validate_execution(sql: str, db_path: Union[str, Path]) -> ValidationReport:
         raise InfrastructureError(f"cannot open database {db_path}: {exc}") from exc
     try:
         cur = conn.execute(sql)
-        rows = cur.fetchall()
-        return ValidationReport(level1=True, level2=None, level3=None, row_count=len(rows))
+        row_count = 0
+        while batch := cur.fetchmany(FETCH_BATCH_ROWS):
+            row_count += len(batch)
+        return ValidationReport(level1=True, level2=None, level3=None, row_count=row_count)
     except sqlite3.Error as exc:
         message = str(exc)
         code = "SYNTAX" if "syntax error" in message.lower() else "EXECUTION"

@@ -1,9 +1,10 @@
 """Steiner-tree solving on the schema graph.
 
-The planner follows the classic four-step 2-approximation (metric closure,
-MST over the terminals, expansion back to original paths, pruning) plus an
-exhaustive oracle for verification and two simpler baseline planners for
-benchmarking.
+The planner follows the classic four-step 2-approximation of Kou, Markowsky
+and Berman (metric closure over the terminals, MST over the terminals,
+expansion back to original paths, pruning) plus an exhaustive oracle for
+verification and two simpler baseline planners for benchmarking. The closure
+holds only the rows its caller reads: one Dijkstra run from each terminal.
 
 Determinism contract: every tie anywhere in the solve is broken the same way.
 Shortest paths order by (distance, hop count, vertex sequence); MST and
@@ -17,10 +18,11 @@ order-independent, and diff-friendly.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .canonical import canonical_json
 from .costs import EdgeKey, SchemaGraph, edge_key
@@ -52,7 +54,11 @@ def exact_total(costs: Iterable[float]) -> float:
 
 @dataclass(frozen=True)
 class MetricClosure:
-    """All-pairs shortest distances plus the reconstructed path per pair."""
+    """Shortest distances plus the reconstructed path, from each source vertex.
+
+    ``keys[source][target]`` holds the (distance, hops, path) key of every
+    target reachable from ``source``; unreachable targets have no entry.
+    """
 
     graph: SchemaGraph
     keys: dict[str, dict[str, PathKey]]
@@ -61,50 +67,63 @@ class MetricClosure:
     def vertices(self) -> tuple[str, ...]:
         return self.graph.vertices
 
+    def _row(self, u: str) -> dict[str, PathKey]:
+        row = self.keys.get(u)
+        if row is None:
+            raise SteinerError(f"metric closure has no row for source {u!r}")
+        return row
+
     def reachable(self, u: str, v: str) -> bool:
-        return v in self.keys[u]
+        return v in self._row(u)
 
     def distance(self, u: str, v: str) -> float:
-        key = self.keys[u].get(v)
+        key = self._row(u).get(v)
         return key[0] if key is not None else float("inf")
 
     def path(self, u: str, v: str) -> Optional[tuple[str, ...]]:
-        key = self.keys[u].get(v)
+        key = self._row(u).get(v)
         return key[2] if key is not None else None
 
 
-def metric_closure(graph: SchemaGraph) -> MetricClosure:
-    """Floyd–Warshall over (distance, hops, path) keys.
+def metric_closure(
+    graph: SchemaGraph, sources: Optional[Iterable[str]] = None
+) -> MetricClosure:
+    """Shortest-path rows from ``sources`` (every vertex when None).
 
-    Running the relaxation on the composite key yields, for every pair, the
-    shortest distance, then the fewest-hop path among shortest, then the
-    lexicographically smallest vertex sequence. One pass of the classic
-    O(|V|^3) triple loop suffices because the key combination is monotone;
-    comparing the path component adds cost only on exact ties.
+    Each row is one Dijkstra run ordered by the composite (distance, hops,
+    path) key, which yields, for every reachable target, the shortest
+    distance, then the fewest-hop path among shortest, then the
+    lexicographically smallest vertex sequence. The key only grows along a
+    path (weights are non-negative, hops grow by one) and extending two
+    paths by the same edge keeps their order, so a vertex's key is final when
+    it leaves the heap. A key is pushed only when it beats the best known for
+    its vertex; comparing the path component adds cost only on exact ties.
     """
-    vertices = graph.vertices
-    keys: dict[str, dict[str, PathKey]] = {u: {} for u in vertices}
-    for u in vertices:
-        keys[u][u] = (0.0, 0, (u,))
-    for (a, b), cost in graph.edges.items():
-        w = cost.total
-        keys[a][b] = (w, 1, (a, b))
-        keys[b][a] = (w, 1, (b, a))
-    for k in vertices:
-        row_k = keys[k]
-        for i in vertices:
-            via = keys[i].get(k)
-            if via is None or i == k:
+    rows = graph.vertices if sources is None else sorted(set(sources))
+    return MetricClosure(graph, {s: _shortest_paths_from(graph, s) for s in rows})
+
+
+def _shortest_paths_from(graph: SchemaGraph, source: str) -> dict[str, PathKey]:
+    start: PathKey = (0.0, 0, (source,))
+    best = {source: start}
+    settled: dict[str, PathKey] = {}
+    heap = [start]  # a key's last path vertex is the vertex it reaches
+    while heap:
+        key = heapq.heappop(heap)
+        distance, hops, path = key
+        v = path[-1]
+        if v in settled:
+            continue  # a stale entry, superseded by a smaller key
+        settled[v] = key
+        for n in graph.neighbors(v):
+            if n in settled:
                 continue
-            row_i = keys[i]
-            for j, tail in row_k.items():
-                if j == i or j == k:
-                    continue
-                candidate = (via[0] + tail[0], via[1] + tail[1], via[2] + tail[2][1:])
-                current = row_i.get(j)
-                if current is None or candidate < current:
-                    row_i[j] = candidate
-    return MetricClosure(graph, keys)
+            candidate = (distance + graph.weight(v, n), hops + 1, path + (n,))
+            current = best.get(n)
+            if current is None or candidate < current:
+                best[n] = candidate
+                heapq.heappush(heap, candidate)
+    return settled
 
 
 class _UnionFind:
@@ -139,7 +158,9 @@ def _kruskal(
     return chosen
 
 
-def _connected_groups(adjacency: Mapping[str, Iterable[str]], among: Sequence[str]) -> list[list[str]]:
+def _connected_groups(
+    neighbors: Callable[[str], Iterable[str]], among: Sequence[str]
+) -> list[list[str]]:
     """Partition ``among`` into connectivity groups, each sorted, groups sorted."""
     remaining = set(among)
     groups = []
@@ -149,7 +170,7 @@ def _connected_groups(adjacency: Mapping[str, Iterable[str]], among: Sequence[st
         stack = [start]
         while stack:
             v = stack.pop()
-            for n in adjacency.get(v, ()):
+            for n in neighbors(v):
                 if n not in seen:
                     seen.add(n)
                     stack.append(n)
@@ -178,7 +199,7 @@ class SteinerScaffold:
         for a, b, _w in self.edges:
             adjacency[a].append(b)
             adjacency[b].append(a)
-        groups = _connected_groups(adjacency, self.vertices)
+        groups = _connected_groups(adjacency.__getitem__, self.vertices)
         if len(groups) > 1:
             raise SteinerError("scaffold is not connected")
 
@@ -217,11 +238,8 @@ def _check_terminals(graph: SchemaGraph, terminals: Sequence[str]) -> tuple[str,
     return tuple(sorted(set(terminals)))
 
 
-def _require_mutually_reachable(closure: MetricClosure, terminals: Sequence[str]) -> None:
-    adjacency = {
-        t: [u for u in terminals if u != t and closure.reachable(t, u)] for t in terminals
-    }
-    groups = _connected_groups(adjacency, terminals)
+def _require_mutually_reachable(graph: SchemaGraph, terminals: Sequence[str]) -> None:
+    groups = _connected_groups(graph.neighbors, terminals)
     if len(groups) > 1:
         raise DisconnectedTerminalsError(groups)
 
@@ -233,7 +251,7 @@ def mst_on_terminals(
     terminals = tuple(sorted(set(terminals)))
     if len(terminals) <= 1:
         return []
-    _require_mutually_reachable(closure, terminals)
+    _require_mutually_reachable(closure.graph, terminals)
     candidates = {
         (a, b): closure.distance(a, b)
         for i, a in enumerate(terminals)
@@ -274,7 +292,7 @@ def prune_to_tree(
     for a, b in subgraph:
         adjacency[a].add(b)
         adjacency[b].add(a)
-    groups = _connected_groups(adjacency, sorted(vertices))
+    groups = _connected_groups(adjacency.__getitem__, sorted(vertices))
     if len(groups) > 1:
         raise SteinerError("input subgraph does not span the terminals")
 
@@ -304,7 +322,7 @@ def solve_steiner(graph: SchemaGraph, terminals: Sequence[str]) -> SteinerScaffo
     terminals = _check_terminals(graph, terminals)
     if len(terminals) == 1:
         return SteinerScaffold.build(terminals, {})
-    closure = metric_closure(graph)
+    closure = metric_closure(graph, terminals)
     mst = mst_on_terminals(closure, terminals)
     subgraph = expand_to_paths(mst, closure)
     return prune_to_tree(subgraph, terminals)
@@ -328,7 +346,7 @@ def exact_steiner_oracle(graph: SchemaGraph, terminals: Sequence[str]) -> Steine
     terminals = _check_terminals(graph, terminals)
     if len(terminals) == 1:
         return SteinerScaffold.build(terminals, {})
-    _require_mutually_reachable(metric_closure(graph), terminals)
+    _require_mutually_reachable(graph, terminals)
 
     non_terminals = [v for v in graph.vertices if v not in set(terminals)]
     best: Optional[tuple[Fraction, tuple, dict]] = None
@@ -360,9 +378,9 @@ def baseline_shortest_path_combination(
     terminals = _check_terminals(graph, terminals)
     if len(terminals) == 1:
         return SteinerScaffold.build(terminals, {})
-    closure = metric_closure(graph)
-    _require_mutually_reachable(closure, terminals)
+    _require_mutually_reachable(graph, terminals)
     first = terminals[0]
+    closure = metric_closure(graph, [first])
     subgraph: dict[EdgeKey, float] = {}
     for other in terminals[1:]:
         path = closure.path(first, other)
@@ -391,7 +409,7 @@ def baseline_mst_on_terminal_subgraph(
         for a, b in induced:
             adjacency[a].append(b)
             adjacency[b].append(a)
-        raise DisconnectedTerminalsError(_connected_groups(adjacency, terminals))
+        raise DisconnectedTerminalsError(_connected_groups(adjacency.__getitem__, terminals))
     return SteinerScaffold.build(terminals, {e: induced[e] for e in chosen})
 
 

@@ -1,8 +1,15 @@
-"""Test-side helpers: controlled embedding providers and float engineering."""
+"""Test-side helpers: controlled embedding providers, float engineering,
+canned HTTP services and the benchmark's span recorder."""
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import math
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 
@@ -76,3 +83,41 @@ def admitted_join_columns(schema, graph) -> list[tuple[str, str, str, str]]:
             ends = [((a, cost.best_column_pair[0]), (b, cost.best_column_pair[1]))]
         keys += [(*min(x, y), *max(x, y)) for x, y in ends]
     return list(dict.fromkeys(keys))
+
+
+@contextmanager
+def json_server(*bodies):
+    """Loopback HTTP server answering the n-th POST with ``bodies[n]`` as JSON
+    (status 200; the last body repeats). Yields the endpoint URL."""
+    answers = list(bodies)
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            body = json.dumps(answers.pop(0) if len(answers) > 1 else answers[0]).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    # A short poll interval keeps shutdown() from waiting out the 0.5 s default.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/api"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def load_perfbench_spans():
+    """The benchmark's span recorder module, ``perfbench/spans.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import golden
-from helpers import admitted_join_columns
+from helpers import admitted_join_columns, json_server
 
 from joinscaffold.cli import main
 from joinscaffold.costs import CostWeights, build_schema_graph, statistical_cost
@@ -261,6 +261,49 @@ def test_run_failing_stub_exits_2(capsys, analytics_schema_file, analytics_db, t
     )
     assert code == 2
     assert json.loads(out)["outcome"] == "max_iterations"
+
+
+def test_run_malformed_generator_reply_exits_1(
+    capsys, analytics_schema_file, analytics_db, tmp_path, monkeypatch
+):
+    monkeypatch.delenv("JOINSCAFFOLD_GENERATOR_ENDPOINT", raising=False)
+    config_file = tmp_path / "config.json"
+    with json_server({"choices": []}) as url:
+        config_file.write_text(
+            json.dumps({"generator_endpoint": url, "retries": 2, "backoff": 0.01}),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys,
+            "run", golden.ANALYTICS_QUESTION, analytics_schema_file,
+            "--db", analytics_db,
+            "--config", config_file,
+        )
+    assert code == 1
+    assert out == ""
+    assert "generator failed after 2 attempts" in err
+
+
+@pytest.mark.parametrize("field", ["max_iterations", "retries"])
+def test_run_config_file_rejects_zero_counts(
+    capsys, analytics_schema_file, analytics_db, tmp_path, field
+):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({field: 0}), encoding="utf-8")
+    stub_file = tmp_path / "stub.json"
+    stub_file.write_text(
+        json.dumps({"default": golden.ANALYTICS_GOLDEN_SQL}), encoding="utf-8"
+    )
+    code, out, err = run_cli(
+        capsys,
+        "run", golden.ANALYTICS_QUESTION, analytics_schema_file,
+        "--db", analytics_db,
+        "--config", config_file,
+        "--stub-responses", stub_file,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{field} must be an integer of at least 1" in err
 
 
 def test_bench_command(capsys):

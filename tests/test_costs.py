@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +7,7 @@ from helpers import (
     admitted_join_columns,
     engineer_cosine_pair,
     engineer_similarity_cosine,
+    load_perfbench_spans,
 )
 
 from joinscaffold import costs
@@ -294,10 +292,7 @@ def test_connection_cost_matches_argmax_reference(cols_a, cols_b, fk):
 def test_traced_run_scores_every_table_pair_once(company_schema):
     # The traced benchmark run counts costs.table_pairs_scored by wrapping
     # costs.table_similarity; a graph build that bypassed it would read 0.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_perfbench_spans()
     rec = spans.Recorder()
     spans.instrument(rec)
     try:

@@ -6,6 +6,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from helpers import json_server
+
 from joinscaffold.embedding import (
     EmbeddingError,
     HttpEmbeddingProvider,
@@ -116,6 +118,25 @@ def test_http_provider_failure(embed_server):
     provider.endpoint = "http://127.0.0.1:9/never"
     with pytest.raises(EmbeddingError):
         provider.embed("abc")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"vectors": None},
+        [],
+        {"vectors": [["x", 1.0]]},
+        {"vectors": [{"x": 1.0}]},
+        {"vectors": [5.0]},
+        {"vectors": [[[1.0, 0.0]]]},
+    ],
+)
+def test_http_provider_malformed_reply_is_embedding_error(body):
+    with json_server(body) as url:
+        provider = HttpEmbeddingProvider(endpoint=url, timeout=5.0)
+        with pytest.raises(EmbeddingError):
+            provider.embed("abc")
+        assert provider.dimension == 0
 
 
 def test_embed_text_uses_default_provider():

@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 import golden
+from helpers import json_server
 
 from joinscaffold import pipeline
 from joinscaffold.costs import CostWeights, build_schema_graph
@@ -484,6 +485,42 @@ def test_http_generator_fails_after_retries(chat_server):
     with pytest.raises(GeneratorError, match="after 3 attempts"):
         client.generate("p", "q")
     _ChatHandler.failures_left = 0
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"choices": []},
+        {"choices": None},
+        {"choices": [{"message": {"content": None}}]},
+        [],
+    ],
+)
+def test_http_generator_malformed_reply_is_generator_error(body):
+    with json_server(body) as url:
+        client = HttpGenerator(
+            PipelineConfig(generator_endpoint=url, retries=2, backoff=0.01)
+        )
+        with pytest.raises(GeneratorError, match="after 2 attempts"):
+            client.generate("p", "q")
+
+
+def test_http_generator_retries_after_malformed_reply():
+    good = {"choices": [{"message": {"content": "SELECT 1"}}]}
+    with json_server({"choices": []}, good) as url:
+        client = HttpGenerator(
+            PipelineConfig(generator_endpoint=url, retries=2, backoff=0.01)
+        )
+        assert client.generate("p", "q") == "SELECT 1"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_iterations", 0), ("max_iterations", -2), ("retries", 0), ("retries", -1)],
+)
+def test_pipeline_config_rejects_counts_below_one(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
+        PipelineConfig(**{field: value})
 
 
 def test_http_generator_requires_endpoint(monkeypatch):

@@ -14,6 +14,7 @@ from joinscaffold.sqlcheck import (
     validate_math,
     validate_semantic,
 )
+from joinscaffold.sqlcheck.validate import FETCH_BATCH_ROWS
 from joinscaffold.steiner import solve_steiner
 
 
@@ -26,6 +27,17 @@ def test_execution_pass_records_rows(company_db):
     report = validate_execution("SELECT name FROM employees", company_db)
     assert report.level1 is True
     assert report.row_count == 5
+
+
+def test_execution_counts_rows_beyond_one_fetch_batch(company_db):
+    n = 2 * FETCH_BATCH_ROWS + 3
+    report = validate_execution(
+        "WITH RECURSIVE seq(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM seq "
+        f"WHERE x < {n}) SELECT x FROM seq",
+        company_db,
+    )
+    assert report.level1 is True
+    assert report.row_count == n
 
 
 def test_execution_missing_column(company_db):

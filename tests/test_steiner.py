@@ -3,6 +3,10 @@ import math
 
 import pytest
 
+from helpers import load_perfbench_spans
+
+from joinscaffold import steiner
+from joinscaffold.bench import SplitMix64, random_connected_graph
 from joinscaffold.costs import SchemaGraph
 from joinscaffold.steiner import (
     DisconnectedTerminalsError,
@@ -119,6 +123,40 @@ def test_closure_tie_break_prefers_fewer_hops_then_lex():
     g2 = graph_of({("a", "b"): 0.5, ("b", "c"): 0.5, ("a", "c"): 1.0})
     closure2 = metric_closure(g2)
     assert closure2.path("a", "c") == ("a", "c")
+
+
+def test_closure_rows_only_for_sources():
+    g = graph_of({("a", "b"): 0.4, ("b", "c"): 0.2}, vertices={"a", "b", "c", "d"})
+    closure = metric_closure(g, ["c", "a", "c"])
+    assert set(closure.keys) == {"a", "c"}
+    assert closure.path("c", "a") == ("c", "b", "a")
+    assert closure.keys["a"] == metric_closure(g).keys["a"]
+    assert not closure.reachable("a", "d")
+
+
+def test_closure_missing_row_raises_steiner_error():
+    closure = metric_closure(graph_of(APPENDIX_WEIGHTS), ["hits"])
+    for query in (closure.reachable, closure.distance, closure.path):
+        with pytest.raises(SteinerError, match="no row for source 'totals'"):
+            query("totals", "hits")
+
+
+def test_traced_solve_counts_only_terminal_rows():
+    # The traced benchmark run counts steiner.closure_entries by wrapping
+    # steiner.metric_closure; a solve must build the terminal rows only.
+    graph = random_connected_graph(30, SplitMix64(7))
+    terminals = ["v00", "v03", "v11", "v29"]
+    spans = load_perfbench_spans()
+    rec = spans.Recorder()
+    spans.instrument(rec)
+    try:
+        steiner.solve_steiner(graph, terminals[:1])  # one terminal: no closure
+        steiner.solve_steiner(graph, terminals)
+    finally:
+        rec.unpatch()
+    full = metric_closure(graph)
+    expected = sum(len(full.keys[t]) for t in terminals)
+    assert rec.counters["setup"]["steiner.closure_entries"] == expected == 4 * 30
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +344,22 @@ def test_oracle_beats_kmb_on_worst_case_family():
     assert opt.total_cost == pytest.approx(4.0)
     assert kmb.total_cost == pytest.approx(5.7)
     assert opt.total_cost < kmb.total_cost <= 2.0 * opt.total_cost
+
+
+def test_oracle_disconnected_terminals_names_groups(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the oracle must not build a metric closure")
+
+    monkeypatch.setattr(steiner, "metric_closure", no_closure)
+    g = graph_of(
+        {("a", "x"): 0.1, ("x", "b"): 0.1, ("c", "d"): 0.1},
+        vertices={"a", "b", "c", "d", "e", "x"},
+    )
+    with pytest.raises(DisconnectedTerminalsError) as err:
+        exact_steiner_oracle(g, ["e", "d", "b", "a", "c"])
+    assert err.value.groups == (("a", "b"), ("c", "d"), ("e",))
+    assert str(err.value) == "disconnected terminals: a,b | c,d | e"
+    assert exact_steiner_oracle(g, ["a", "b"]).edge_pairs() == {("a", "x"), ("b", "x")}
 
 
 def test_oracle_guard_on_large_graphs():

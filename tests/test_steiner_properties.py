@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from joinscaffold.bench import SplitMix64, random_connected_graph, random_terminals
+from joinscaffold.costs import SchemaGraph
 from joinscaffold.steiner import (
+    MetricClosure,
     exact_steiner_oracle,
     exact_total,
     expand_to_paths,
@@ -123,3 +126,95 @@ def test_terminal_set_is_always_spanned_by_oracle(seed):
     graph, terminals = seeded_instance(seed, max_nodes=8)
     scaffold = exact_steiner_oracle(graph, terminals)
     assert_sound(scaffold, terminals)
+
+
+# ---------------------------------------------------------------------------
+# metric closure against the all-pairs Floyd–Warshall reference
+# ---------------------------------------------------------------------------
+
+
+def floyd_warshall_keys(graph):
+    """Reference closure: all-pairs Floyd–Warshall over (distance, hops, path) keys.
+
+    This is the planner's former closure, kept as the reference for the
+    per-source Dijkstra rows. O(|V|^3).
+    """
+    vertices = graph.vertices
+    keys = {u: {} for u in vertices}
+    for u in vertices:
+        keys[u][u] = (0.0, 0, (u,))
+    for (a, b), cost in graph.edges.items():
+        w = cost.total
+        keys[a][b] = (w, 1, (a, b))
+        keys[b][a] = (w, 1, (b, a))
+    for k in vertices:
+        row_k = keys[k]
+        for i in vertices:
+            via = keys[i].get(k)
+            if via is None or i == k:
+                continue
+            row_i = keys[i]
+            for j, tail in row_k.items():
+                if j == i or j == k:
+                    continue
+                candidate = (via[0] + tail[0], via[1] + tail[1], via[2] + tail[2][1:])
+                current = row_i.get(j)
+                if current is None or candidate < current:
+                    row_i[j] = candidate
+    return keys
+
+
+def seeded_closure_graph(seed: int, max_nodes: int = 30) -> SchemaGraph:
+    """A seeded graph of 1 to ``max_nodes`` vertices, often disconnected.
+
+    Half the graphs get weights in eighths of 0 to 1: float sums of those are
+    exact, so distance ties are common and the tie-break decides the paths.
+    """
+    rng = SplitMix64(seed)
+    graph = random_connected_graph(rng.randint(1, max_nodes), rng)
+    if rng.randint(0, 1):
+        graph = SchemaGraph.from_weights(
+            graph.vertices, {e: rng.randint(0, 8) / 8 for e in sorted(graph.edges)}
+        )
+    return graph.without(e for e in sorted(graph.edges) if rng.next_float() < 0.15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**48))
+def test_closure_matches_floyd_warshall_reference(seed):
+    graph = seeded_closure_graph(seed)
+    reference = floyd_warshall_keys(graph)
+    closure = metric_closure(graph)
+    assert set(closure.keys) == set(graph.vertices)
+    for source in graph.vertices:
+        row, expected = closure.keys[source], reference[source]
+        assert set(row) == set(expected)  # reachability
+        for target, (distance, hops, path) in expected.items():
+            got = row[target]
+            assert got[2] == path and got[1] == hops
+            assert abs(got[0] - distance) <= 1e-12 * (1 + distance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**48), st.integers(0, 2**48))
+def test_closure_source_rows_equal_full_closure_rows(seed, pick):
+    graph = seeded_closure_graph(seed)
+    rng = SplitMix64(pick)
+    sources = rng.sample(graph.vertices, rng.randint(1, len(graph.vertices)))
+    full = metric_closure(graph)
+    partial = metric_closure(graph, sources)
+    assert set(partial.keys) == set(sources)
+    for source in sources:
+        assert partial.keys[source] == full.keys[source]
+
+
+@pytest.mark.parametrize("nodes", [20, 50, 80])
+def test_kmb_scaffold_equals_kmb_on_reference_closure(nodes):
+    for seed in range(6):
+        rng = SplitMix64(1000 * nodes + seed)
+        graph = random_connected_graph(nodes, rng)
+        terminals = sorted(rng.sample(graph.vertices, rng.randint(2, 6)))
+        reference = MetricClosure(graph, floyd_warshall_keys(graph))
+        subgraph = expand_to_paths(mst_on_terminals(reference, terminals), reference)
+        expected = scaffold_document(prune_to_tree(subgraph, terminals))
+        assert scaffold_document(solve_steiner(graph, terminals)) == expected
