@@ -2,7 +2,7 @@
 
 The planner computes the metric closure, takes an MST over the terminals,
 expands closure edges back to real paths, and prunes. The resulting tree is
-within twice the optimal cost; the exhaustive oracle verifies that here.
+within twice the optimal cost; the exact oracle verifies that here.
 """
 
 from joinscaffold import (

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Container, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -177,13 +178,13 @@ class SchemaGraph:
 
     vertices: tuple[str, ...]
     edges: dict[EdgeKey, EdgeCost]
-    _adjacency: dict[str, tuple[str, ...]] = field(
+    _adjacency: dict[str, tuple[tuple[str, float], ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         vset = set(self.vertices)
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
+        adj: dict[str, list[tuple[str, float]]] = {v: [] for v in self.vertices}
         for (a, b), cost in self.edges.items():
             if a == b:
                 raise ValueError(f"self-loop on {a!r}")
@@ -193,10 +194,12 @@ class SchemaGraph:
                 raise ValueError(f"edge {(a, b)} references unknown vertex")
             if not math.isfinite(cost.total) or cost.total < 0.0:
                 raise ValueError(f"edge {(a, b)} has invalid weight {cost.total}")
-            adj[a].append(b)
-            adj[b].append(a)
+            adj[a].append((b, cost.total))
+            adj[b].append((a, cost.total))
         object.__setattr__(
-            self, "_adjacency", {v: tuple(sorted(ns)) for v, ns in adj.items()}
+            self,
+            "_adjacency",
+            {v: tuple(sorted(ns, key=itemgetter(0))) for v, ns in adj.items()},
         )
 
     @classmethod
@@ -222,6 +225,10 @@ class SchemaGraph:
         return self.edges[edge_key(a, b)].total
 
     def neighbors(self, v: str) -> tuple[str, ...]:
+        return tuple(n for n, _w in self._adjacency[v])
+
+    def weighted_neighbors(self, v: str) -> tuple[tuple[str, float], ...]:
+        """(neighbour, edge total) pairs in sorted neighbour order."""
         return self._adjacency[v]
 
     def sorted_edges(self) -> list[tuple[str, str, EdgeCost]]:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .schema import Schema, SchemaError
+from .schema import Schema, SchemaError, quote_identifier
 
 NEUTRAL = 0.5
 DEFAULT_SAMPLE_LIMIT = 10_000
@@ -76,12 +76,13 @@ class StatsProfile:
 def _sample_table(
     cur: sqlite3.Cursor, table: str, columns: Sequence[str], limit: int
 ) -> dict[str, list]:
-    cols = ", ".join(f'"{c}"' for c in columns)
+    cols = ", ".join(quote_identifier(c) for c in columns)
+    source = quote_identifier(table)
     try:
-        cur.execute(f'SELECT {cols} FROM "{table}" ORDER BY rowid LIMIT ?', (limit,))
+        cur.execute(f"SELECT {cols} FROM {source} ORDER BY rowid LIMIT ?", (limit,))
     except sqlite3.OperationalError:
         # WITHOUT ROWID tables have no rowid; fall back to declaration order.
-        cur.execute(f'SELECT {cols} FROM "{table}" LIMIT ?', (limit,))
+        cur.execute(f"SELECT {cols} FROM {source} LIMIT ?", (limit,))
     rows = cur.fetchall()
     out: dict[str, list] = {c: [] for c in columns}
     for row in rows:

@@ -204,15 +204,15 @@ def load_schema_from_database(path: Union[str, Path]) -> Schema:
         tables = []
         fks = []
         for name in names:
-            cur.execute(f'PRAGMA table_info("{name}")')
+            cur.execute(f"PRAGMA table_info({quote_identifier(name)})")
             cols = [
                 ColumnDef(row[1], map_declared_type(row[2]), bool(row[5]))
                 for row in cur.fetchall()
             ]
-            cur.execute(f'SELECT COUNT(*) FROM "{name}"')
+            cur.execute(f"SELECT COUNT(*) FROM {quote_identifier(name)}")
             row_count = cur.fetchone()[0]
             tables.append(TableDef(name, tuple(cols), row_count))
-            cur.execute(f'PRAGMA foreign_key_list("{name}")')
+            cur.execute(f"PRAGMA foreign_key_list({quote_identifier(name)})")
             for row in cur.fetchall():
                 # (id, seq, ref_table, from_col, to_col, ...); to_col may be
                 # NULL, meaning the referenced table's primary key.
@@ -227,8 +227,13 @@ def load_schema_from_database(path: Union[str, Path]) -> Schema:
     return _sorted_schema(tables, fks)
 
 
+def quote_identifier(name: str) -> str:
+    """An SQLite identifier in double quotes, each embedded quote doubled."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 def _primary_key_of(cur: sqlite3.Cursor, table: str) -> str:
-    cur.execute(f'PRAGMA table_info("{table}")')
+    cur.execute(f"PRAGMA table_info({quote_identifier(table)})")
     for row in cur.fetchall():
         if row[5]:
             return row[1]

@@ -2,9 +2,12 @@
 
 The planner follows the classic four-step 2-approximation of Kou, Markowsky
 and Berman (metric closure over the terminals, MST over the terminals,
-expansion back to original paths, pruning) plus an exhaustive oracle for
+expansion back to original paths, pruning) plus an exact oracle for
 verification and two simpler baseline planners for benchmarking. The closure
 holds only the rows its caller reads: one Dijkstra run from each terminal.
+The oracle takes the optimum cost from the Dreyfus–Wagner dynamic program,
+then enumerates Steiner-vertex subsets only over the vertices that lie on
+some optimal tree.
 
 Determinism contract: every tie anywhere in the solve is broken the same way.
 Shortest paths order by (distance, hop count, vertex sequence); MST and
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -115,10 +119,10 @@ def _shortest_paths_from(graph: SchemaGraph, source: str) -> dict[str, PathKey]:
         if v in settled:
             continue  # a stale entry, superseded by a smaller key
         settled[v] = key
-        for n in graph.neighbors(v):
+        for n, w in graph.weighted_neighbors(v):
             if n in settled:
                 continue
-            candidate = (distance + graph.weight(v, n), hops + 1, path + (n,))
+            candidate = (distance + w, hops + 1, path + (n,))
             current = best.get(n)
             if current is None or candidate < current:
                 best[n] = candidate
@@ -328,16 +332,76 @@ def solve_steiner(graph: SchemaGraph, terminals: Sequence[str]) -> SteinerScaffo
     return prune_to_tree(subgraph, terminals)
 
 
+def _dreyfus_wagner(
+    graph: SchemaGraph, terminals: Sequence[str]
+) -> tuple[dict[str, int], int]:
+    """Exact cost of the cheapest tree spanning ``terminals`` plus each vertex.
+
+    The dynamic program of Dreyfus and Wagner (Networks, 1971): ``dp[mask][v]``
+    is the cheapest tree spanning the terminals in ``mask`` plus ``v``. Each
+    mask first joins two complementary sub-masks at a common vertex, then one
+    Dijkstra relaxation extends those trees along paths. Every weight is
+    scaled to an integer over the common denominator of the decimal values
+    ``Fraction(repr(w))``, so comparisons are exact and agree with the
+    oracle's rational totals.
+
+    Returns the full-mask row and the denominator: ``row[v] / denominator``
+    is the cost for ``v``, and a vertex the terminals cannot reach has no
+    entry.
+    """
+    exact = {w: Fraction(repr(w)) for w in {c.total for c in graph.edges.values()}}
+    denominator = math.lcm(1, *(f.denominator for f in exact.values()))
+    scaled = {w: int(f * denominator) for w, f in exact.items()}
+    adjacency = {
+        v: [(n, scaled[w]) for n, w in graph.weighted_neighbors(v)]
+        for v in graph.vertices
+    }
+    dp: list[dict[str, int]] = [{}]
+    for mask in range(1, 1 << len(terminals)):
+        row: dict[str, int] = {}
+        if mask & (mask - 1) == 0:
+            row[terminals[mask.bit_length() - 1]] = 0
+        low = mask & -mask
+        sub = (mask - 1) & mask
+        while sub:
+            if sub & low:  # each split once: the part holding the lowest terminal
+                other = dp[mask ^ sub]
+                for v, cost in dp[sub].items():
+                    if v in other:
+                        total = cost + other[v]
+                        if v not in row or total < row[v]:
+                            row[v] = total
+            sub = (sub - 1) & mask
+        heap = [(cost, v) for v, cost in row.items()]
+        heapq.heapify(heap)
+        while heap:
+            cost, v = heapq.heappop(heap)
+            if cost > row[v]:
+                continue  # a stale entry, superseded by a cheaper one
+            for n, w in adjacency[v]:
+                total = cost + w
+                if n not in row or total < row[n]:
+                    row[n] = total
+                    heapq.heappush(heap, (total, n))
+        dp.append(row)
+    return dp[-1], denominator
+
+
 MAX_ORACLE_VERTICES = 14
 
 
 def exact_steiner_oracle(graph: SchemaGraph, terminals: Sequence[str]) -> SteinerScaffold:
-    """Exact minimum Steiner tree by enumerating Steiner-vertex subsets.
+    """Exact minimum Steiner tree: a Dreyfus–Wagner optimum, then enumeration.
 
-    For every subset S of non-terminals, take the MST of the subgraph induced
-    by terminals ∪ S when it spans that vertex set; return the global minimum
-    (exact rational totals; ties broken by the lexicographic edge list).
-    Guarded to |V| <= 14.
+    The dynamic program gives the optimum cost OPT and, for every vertex v,
+    the cheapest tree spanning the terminals plus v. Only non-terminals whose
+    cost equals OPT can lie on an optimal tree, so only subsets S of those
+    candidates are enumerated: for each, take the MST of the subgraph induced
+    by terminals ∪ S when it spans that vertex set, and return the global
+    minimum (exact rational totals; ties broken by the lexicographic edge
+    list). Every subset whose MST costs OPT is a candidate subset, so the
+    result equals the minimum over all subsets. Guarded to |V| <= 14, since
+    with all weights tied every vertex is a candidate.
     """
     if len(graph.vertices) > MAX_ORACLE_VERTICES:
         raise GraphTooLargeError(
@@ -348,10 +412,14 @@ def exact_steiner_oracle(graph: SchemaGraph, terminals: Sequence[str]) -> Steine
         return SteinerScaffold.build(terminals, {})
     _require_mutually_reachable(graph, terminals)
 
-    non_terminals = [v for v in graph.vertices if v not in set(terminals)]
+    row, _denominator = _dreyfus_wagner(graph, terminals)
+    optimum = row[terminals[0]]
+    candidates = [
+        v for v in graph.vertices if v not in set(terminals) and row.get(v) == optimum
+    ]
     best: Optional[tuple[Fraction, tuple, dict]] = None
-    for r in range(len(non_terminals) + 1):
-        for subset in itertools.combinations(non_terminals, r):
+    for r in range(len(candidates) + 1):
+        for subset in itertools.combinations(candidates, r):
             nodes = sorted(set(terminals) | set(subset))
             node_set = set(nodes)
             induced = {

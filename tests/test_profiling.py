@@ -125,3 +125,32 @@ def test_cramers_v_perfect_association():
 
 def test_cramers_v_degenerate():
     assert cramers_v(["x", "x"], ["u", "v"]) is None
+
+
+def test_double_quote_in_table_and_column_names_loads_and_profiles(tmp_path):
+    path = tmp_path / "quoted.db"
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE "par""ents" ("i""d" INTEGER PRIMARY KEY, label TEXT);
+        CREATE TABLE "od""d" (
+            id INTEGER PRIMARY KEY,
+            "pa""rent" INTEGER REFERENCES "par""ents"
+        );
+        INSERT INTO "par""ents" VALUES (1, 'x'), (2, 'y');
+        INSERT INTO "od""d" VALUES (10, 1), (11, 2), (12, 1);
+        """
+    )
+    conn.commit()
+    conn.close()
+    schema = load_schema_from_database(path)
+    assert schema.table_names == ('od"d', 'par"ents')
+    assert [t.row_count for t in schema.tables] == [3, 2]
+    fk = schema.foreign_keys[0]
+    # The FK names no column, so the referenced primary key is looked up.
+    assert (fk.from_table, fk.from_column, fk.to_table, fk.to_column) == (
+        'od"d', 'pa"rent', 'par"ents', 'i"d',
+    )
+    pair = ('od"d', 'pa"rent', 'par"ents', 'i"d')
+    stats = profile_statistics(schema, path, pairs=[pair]).pair_stats(*pair)
+    assert stats.selectivity == 1.0

@@ -141,6 +141,19 @@ def test_closure_missing_row_raises_steiner_error():
             query("totals", "hits")
 
 
+def test_closure_reads_weights_from_the_weighted_adjacency(monkeypatch):
+    g = random_connected_graph(20, SplitMix64(3))
+    expected = metric_closure(g).keys
+    for v in g.vertices:
+        assert g.weighted_neighbors(v) == tuple((n, g.weight(v, n)) for n in g.neighbors(v))
+
+    def no_lookup(*args):
+        raise AssertionError("the closure must not look up edge weights one by one")
+
+    monkeypatch.setattr(SchemaGraph, "weight", no_lookup)
+    assert metric_closure(g).keys == expected
+
+
 def test_traced_solve_counts_only_terminal_rows():
     # The traced benchmark run counts steiner.closure_entries by wrapping
     # steiner.metric_closure; a solve must build the terminal rows only.
@@ -360,6 +373,27 @@ def test_oracle_disconnected_terminals_names_groups(monkeypatch):
     assert err.value.groups == (("a", "b"), ("c", "d"), ("e",))
     assert str(err.value) == "disconnected terminals: a,b | c,d | e"
     assert exact_steiner_oracle(g, ["a", "b"]).edge_pairs() == {("a", "x"), ("b", "x")}
+
+
+def test_oracle_enumerates_only_vertices_of_optimal_trees(monkeypatch):
+    calls = []
+    kruskal = steiner._kruskal
+    monkeypatch.setattr(
+        steiner, "_kruskal", lambda *args: calls.append(args) or kruskal(*args)
+    )
+    weights = {("ta", "hub"): 0.1, ("tb", "hub"): 0.1, ("tc", "hub"): 0.1,
+               ("ta", "tb"): 0.7, ("tb", "tc"): 0.7}
+    weights.update({("ta", f"d{i}"): 0.5 for i in range(8)})
+    opt = exact_steiner_oracle(graph_of(weights), ["ta", "tb", "tc"])
+    assert opt.edge_pairs() == {("hub", "ta"), ("hub", "tb"), ("hub", "tc")}
+    assert len(calls) == 2  # the subsets {} and {hub}
+
+    # With every weight tied each vertex lies on an optimal tree, so every
+    # subset is enumerated: the size guard still bounds the work.
+    calls.clear()
+    tied = graph_of({e: 0.0 for e in weights})
+    assert exact_steiner_oracle(tied, ["ta", "tb", "tc"]).total_cost == 0.0
+    assert len(calls) == 2**9
 
 
 def test_oracle_guard_on_large_graphs():

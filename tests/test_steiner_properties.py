@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,13 @@ from joinscaffold.bench import SplitMix64, random_connected_graph, random_termin
 from joinscaffold.costs import SchemaGraph
 from joinscaffold.steiner import (
     MetricClosure,
+    SteinerError,
+    SteinerScaffold,
+    _connected_groups,
+    _dreyfus_wagner,
+    _kruskal,
+    baseline_mst_on_terminal_subgraph,
+    baseline_shortest_path_combination,
     exact_steiner_oracle,
     exact_total,
     expand_to_paths,
@@ -218,3 +227,110 @@ def test_kmb_scaffold_equals_kmb_on_reference_closure(nodes):
         subgraph = expand_to_paths(mst_on_terminals(reference, terminals), reference)
         expected = scaffold_document(prune_to_tree(subgraph, terminals))
         assert scaffold_document(solve_steiner(graph, terminals)) == expected
+
+
+# ---------------------------------------------------------------------------
+# exact oracle against the full Steiner-vertex subset enumerator
+# ---------------------------------------------------------------------------
+
+
+def enumerating_oracle(graph, terminals):
+    """Reference oracle: the MST of every spanning terminals ∪ S, over all S.
+
+    This is the oracle's former body, which enumerated every subset S of the
+    non-terminals instead of the candidates the Dreyfus–Wagner optimum leaves.
+    Exact rational totals; ties broken by the lexicographic edge list.
+    O(2^(V-T)) MSTs.
+    """
+    terminals = sorted(set(terminals))
+    non_terminals = [v for v in graph.vertices if v not in set(terminals)]
+    best = None
+    for r in range(len(non_terminals) + 1):
+        for subset in itertools.combinations(non_terminals, r):
+            nodes = sorted(set(terminals) | set(subset))
+            node_set = set(nodes)
+            induced = {
+                (a, b): c.total
+                for (a, b), c in graph.edges.items()
+                if a in node_set and b in node_set
+            }
+            chosen = _kruskal(nodes, induced)
+            if len(chosen) != len(nodes) - 1:
+                continue
+            tree = {e: induced[e] for e in chosen}
+            total = sum((Fraction(repr(w)) for w in tree.values()), start=Fraction(0))
+            candidate = (total, tuple(sorted(tree)), tree)
+            if best is None or candidate[:2] < best[:2]:
+                best = candidate
+    return SteinerScaffold.build(terminals, best[2]), best[0]
+
+
+def tie_heavy_instance(seed: int, max_nodes: int = 13):
+    """A seeded graph of 1 to ``max_nodes`` vertices with tied weights.
+
+    Weights come from one palette per graph: all zero, {0, 1/4, 1/2, 1},
+    {1/8, 1/4, 3/8}, two repeated 6-decimal values, or free 6-decimal floats.
+    About a fifth of the edges are dropped, so the graph is often
+    disconnected; the terminals are drawn from one connected group.
+    """
+    rng = SplitMix64(seed)
+    graph = random_connected_graph(rng.randint(1, max_nodes), rng)
+    palette = [
+        (0.0,),
+        (0.0, 0.25, 0.5, 1.0),
+        (0.125, 0.25, 0.375),
+        (round(rng.next_float(), 6), round(rng.next_float(), 6)),
+        None,
+    ][rng.randint(0, 4)]
+    weights = {}
+    for e in sorted(graph.edges):
+        if rng.next_float() < 0.2:
+            continue
+        weights[e] = (
+            round(rng.next_float(), 6)
+            if palette is None
+            else palette[rng.randint(0, len(palette) - 1)]
+        )
+    graph = SchemaGraph.from_weights(graph.vertices, weights)
+    group = rng.sample(_connected_groups(graph.neighbors, graph.vertices), 1)[0]
+    terminals = sorted(rng.sample(group, rng.randint(1, min(5, len(group)))))
+    return graph, terminals
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**48))
+def test_oracle_tree_equals_enumerating_reference(seed):
+    graph, terminals = tie_heavy_instance(seed)
+    expected, optimum = enumerating_oracle(graph, terminals)
+    assert scaffold_document(exact_steiner_oracle(graph, terminals)) == (
+        scaffold_document(expected)
+    )
+    row, denominator = _dreyfus_wagner(graph, terminals)
+    assert Fraction(row[terminals[0]], denominator) == optimum
+    groups = _connected_groups(graph.neighbors, graph.vertices)
+    assert set(row) == set(next(g for g in groups if terminals[0] in g))
+
+
+def exact_cost(scaffold) -> Fraction:
+    return sum((Fraction(repr(w)) for _a, _b, w in scaffold.edges), start=Fraction(0))
+
+
+@pytest.mark.parametrize("nodes", [50, 80])
+def test_kmb_and_baselines_against_dreyfus_wagner_optimum(nodes):
+    for seed in range(6):
+        rng = SplitMix64(7000 * nodes + seed)
+        graph = random_connected_graph(nodes, rng)
+        terminals = sorted(rng.sample(graph.vertices, rng.randint(2, 6)))
+        row, denominator = _dreyfus_wagner(graph, terminals)
+        optimum = Fraction(row[terminals[0]], denominator)
+        assert all(Fraction(row[t], denominator) == optimum for t in terminals)
+        assert optimum <= exact_cost(solve_steiner(graph, terminals)) <= 2 * optimum
+        for baseline in (
+            baseline_shortest_path_combination,
+            baseline_mst_on_terminal_subgraph,
+        ):
+            try:
+                scaffold = baseline(graph, terminals)
+            except SteinerError:
+                continue  # the terminal-only MST fails when terminals are not adjacent
+            assert optimum <= exact_cost(scaffold)
