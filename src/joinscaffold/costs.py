@@ -178,7 +178,10 @@ class SchemaGraph:
 
     vertices: tuple[str, ...]
     edges: dict[EdgeKey, EdgeCost]
-    _adjacency: dict[str, tuple[tuple[str, float], ...]] = field(
+    _adjacency: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _weighted_adjacency: dict[str, tuple[tuple[str, float], ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -196,10 +199,10 @@ class SchemaGraph:
                 raise ValueError(f"edge {(a, b)} has invalid weight {cost.total}")
             adj[a].append((b, cost.total))
             adj[b].append((a, cost.total))
+        weighted = {v: tuple(sorted(ns, key=itemgetter(0))) for v, ns in adj.items()}
+        object.__setattr__(self, "_weighted_adjacency", weighted)
         object.__setattr__(
-            self,
-            "_adjacency",
-            {v: tuple(sorted(ns, key=itemgetter(0))) for v, ns in adj.items()},
+            self, "_adjacency", {v: tuple(n for n, _w in ns) for v, ns in weighted.items()}
         )
 
     @classmethod
@@ -225,11 +228,11 @@ class SchemaGraph:
         return self.edges[edge_key(a, b)].total
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(n for n, _w in self._adjacency[v])
+        return self._adjacency[v]
 
     def weighted_neighbors(self, v: str) -> tuple[tuple[str, float], ...]:
         """(neighbour, edge total) pairs in sorted neighbour order."""
-        return self._adjacency[v]
+        return self._weighted_adjacency[v]
 
     def sorted_edges(self) -> list[tuple[str, str, EdgeCost]]:
         return [(a, b, c) for (a, b), c in sorted(self.edges.items())]

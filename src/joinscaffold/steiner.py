@@ -5,9 +5,10 @@ and Berman (metric closure over the terminals, MST over the terminals,
 expansion back to original paths, pruning) plus an exact oracle for
 verification and two simpler baseline planners for benchmarking. The closure
 holds only the rows its caller reads: one Dijkstra run from each terminal.
-The oracle takes the optimum cost from the Dreyfus–Wagner dynamic program,
-then enumerates Steiner-vertex subsets only over the vertices that lie on
-some optimal tree.
+The oracle enumerates Steiner-vertex subsets; when the terminals are few
+against the non-terminals it first takes the optimum cost from the
+Dreyfus–Wagner dynamic program and enumerates only over the vertices that lie
+on some optimal tree.
 
 Determinism contract: every tie anywhere in the solve is broken the same way.
 Shortest paths order by (distance, hop count, vertex sequence); MST and
@@ -389,19 +390,42 @@ def _dreyfus_wagner(
 
 MAX_ORACLE_VERTICES = 14
 
+# CPython time of one enumerated subset per vertex-or-edge of the graph (an
+# edge filter, a sort, a union-find and an exact total) over the time of one
+# Dreyfus–Wagner merge step (one dict entry of one split); measured at 8-14
+# vertices on random graphs from a spanning tree up to a complete graph.
+_SUBSET_STEP_COST = 16
+
+
+def _dreyfus_wagner_is_cheaper(graph: SchemaGraph, n_terminals: int) -> bool:
+    """Whether the DP costs less than enumerating every non-terminal subset.
+
+    The DP merges each split of each terminal mask over a row of up to |V|
+    entries, about 3^T·|V| steps; the full enumeration builds 2^(V-T) MSTs,
+    each a pass over the vertices and edges. Few terminals among many
+    vertices favour the DP; when the terminals are most of the graph the
+    enumeration is only a handful of MSTs.
+    """
+    n_vertices = len(graph.vertices)
+    merge_steps = 3**n_terminals * n_vertices
+    subset_steps = 2 ** (n_vertices - n_terminals) * (n_vertices + len(graph.edges))
+    return merge_steps < _SUBSET_STEP_COST * subset_steps
+
 
 def exact_steiner_oracle(graph: SchemaGraph, terminals: Sequence[str]) -> SteinerScaffold:
-    """Exact minimum Steiner tree: a Dreyfus–Wagner optimum, then enumeration.
+    """Exact minimum Steiner tree: enumeration, pruned by a Dreyfus–Wagner optimum.
 
-    The dynamic program gives the optimum cost OPT and, for every vertex v,
-    the cheapest tree spanning the terminals plus v. Only non-terminals whose
-    cost equals OPT can lie on an optimal tree, so only subsets S of those
-    candidates are enumerated: for each, take the MST of the subgraph induced
-    by terminals ∪ S when it spans that vertex set, and return the global
-    minimum (exact rational totals; ties broken by the lexicographic edge
-    list). Every subset whose MST costs OPT is a candidate subset, so the
-    result equals the minimum over all subsets. Guarded to |V| <= 14, since
-    with all weights tied every vertex is a candidate.
+    For each subset S of the candidate non-terminals, take the MST of the
+    subgraph induced by terminals ∪ S when it spans that vertex set, and
+    return the global minimum (exact rational totals; ties broken by the
+    lexicographic edge list). When the dynamic program is cheaper than the
+    full enumeration (few terminals, many non-terminals), it gives the
+    optimum cost OPT and, for every vertex v, the cheapest tree spanning the
+    terminals plus v; only non-terminals whose cost equals OPT can lie on an
+    optimal tree, so only they are candidates. Otherwise every non-terminal
+    is. Every subset whose MST costs OPT is a candidate subset either way, so
+    the result equals the minimum over all subsets. Guarded to |V| <= 14,
+    since with all weights tied every vertex is a candidate.
     """
     if len(graph.vertices) > MAX_ORACLE_VERTICES:
         raise GraphTooLargeError(
@@ -412,11 +436,12 @@ def exact_steiner_oracle(graph: SchemaGraph, terminals: Sequence[str]) -> Steine
         return SteinerScaffold.build(terminals, {})
     _require_mutually_reachable(graph, terminals)
 
-    row, _denominator = _dreyfus_wagner(graph, terminals)
-    optimum = row[terminals[0]]
-    candidates = [
-        v for v in graph.vertices if v not in set(terminals) and row.get(v) == optimum
-    ]
+    terminal_set = set(terminals)
+    candidates = [v for v in graph.vertices if v not in terminal_set]
+    if _dreyfus_wagner_is_cheaper(graph, len(terminals)):
+        row, _denominator = _dreyfus_wagner(graph, terminals)
+        optimum = row[terminals[0]]
+        candidates = [v for v in candidates if row.get(v) == optimum]
     best: Optional[tuple[Fraction, tuple, dict]] = None
     for r in range(len(candidates) + 1):
         for subset in itertools.combinations(candidates, r):

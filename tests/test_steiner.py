@@ -396,6 +396,37 @@ def test_oracle_enumerates_only_vertices_of_optimal_trees(monkeypatch):
     assert len(calls) == 2**9
 
 
+def test_oracle_skips_the_dp_when_most_vertices_are_terminals(monkeypatch):
+    # At 14 vertices with 12-14 terminals the full enumeration is 1-4 MSTs,
+    # while the DP would merge about 3^T·V row entries (seconds in CPython).
+    calls = []
+    kruskal = steiner._kruskal
+    monkeypatch.setattr(
+        steiner, "_kruskal", lambda *args: calls.append(args) or kruskal(*args)
+    )
+
+    def no_dp(*_args):
+        raise AssertionError("the Dreyfus–Wagner pass ran")
+
+    monkeypatch.setattr(steiner, "_dreyfus_wagner", no_dp)
+    for density in (0.0, 0.4, 1.0):
+        graph = random_connected_graph(14, SplitMix64(14), density)
+        for n_terminals in (12, 13, 14):
+            calls.clear()
+            opt = exact_steiner_oracle(graph, graph.vertices[:n_terminals])
+            assert len(calls) == 2 ** (14 - n_terminals)
+            assert set(graph.vertices[:n_terminals]) <= set(opt.vertices)
+
+
+def test_oracle_runs_the_dp_for_few_terminals_among_many_vertices():
+    # The planner comparison's instances: 2-5 terminals at 13-14 vertices.
+    for nodes in (13, 14):
+        for density in (0.0, 0.4, 1.0):
+            graph = random_connected_graph(nodes, SplitMix64(nodes), density)
+            for n_terminals in range(2, 6):
+                assert steiner._dreyfus_wagner_is_cheaper(graph, n_terminals)
+
+
 def test_oracle_guard_on_large_graphs():
     weights = {(f"v{i:02d}", f"v{i + 1:02d}"): 0.1 for i in range(15)}
     g = graph_of(weights)

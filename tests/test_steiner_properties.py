@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from joinscaffold import steiner
 from joinscaffold.bench import SplitMix64, random_connected_graph, random_terminals
 from joinscaffold.costs import SchemaGraph
 from joinscaffold.steiner import (
@@ -305,6 +306,12 @@ def test_oracle_tree_equals_enumerating_reference(seed):
     assert scaffold_document(exact_steiner_oracle(graph, terminals)) == (
         scaffold_document(expected)
     )
+    for dp_first in (True, False):  # each side of the oracle's DP-or-enumerate choice
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(steiner, "_dreyfus_wagner_is_cheaper", lambda *_: dp_first)
+            assert scaffold_document(exact_steiner_oracle(graph, terminals)) == (
+                scaffold_document(expected)
+            )
     row, denominator = _dreyfus_wagner(graph, terminals)
     assert Fraction(row[terminals[0]], denominator) == optimum
     groups = _connected_groups(graph.neighbors, graph.vertices)
