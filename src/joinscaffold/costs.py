@@ -16,6 +16,16 @@ edge carries three [0, 1] cost components blended into a total:
 
 Column-pair similarity is ``sim_alpha * cos + (1 - sim_alpha) * type_match``
 with the cosine clamped to [0, 1].
+
+Edge admission screens before it scores. One matrix product of the unit
+column-name embeddings (a row block per table) approximates every column-pair
+similarity, and a table pair with no FK and no cost override whose
+approximate best falls below ``tau - SCREEN_MARGIN`` is skipped. Every other
+pair is rescored exactly by ``table_similarity``, column pair by column pair;
+only exact values decide admission or reach an exported cost. Within one
+build each name is embedded and normed once, each table's mean embedding is
+computed once, and the connection cost reuses the column-pair cosines its
+pair's rescoring computed.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from typing import Container, Iterable, Iterator, Mapping, Optional
 import numpy as np
 
 from .canonical import canonical_json
-from .embedding import EmbeddingProvider, cosine01, default_provider
+from .embedding import EmbeddingProvider, cosine01, default_provider, vector_norm
 from .profiling import NEUTRAL, JoinPair, StatsProfile
 from .schema import ColumnDef, Schema, TableDef
 
@@ -90,6 +100,61 @@ class EdgeCost:
                 raise ValueError(f"cost component {v} must be finite and non-negative")
 
 
+class _NameVectors:
+    """The embedding lookups of one graph build, each made once.
+
+    Holds each name's vector and norm, each table's mean name embedding and
+    its norm, and each column-name pair's clamped cosine. It has the
+    ``EmbeddingProvider`` interface, so every cost function takes it as its
+    provider; a function given a plain provider wraps it for that call alone.
+    """
+
+    def __init__(self, provider: EmbeddingProvider) -> None:
+        self.provider = provider
+        self._normed: dict[str, tuple[np.ndarray, float]] = {}
+        self._tables: dict[tuple[str, ...], tuple[np.ndarray, float]] = {}
+        self._cosines: dict[tuple[str, str], float] = {}
+
+    @property
+    def dimension(self) -> int:
+        return self.provider.dimension
+
+    def embed(self, text: str) -> np.ndarray:
+        return self.normed(text)[0]
+
+    def normed(self, text: str) -> tuple[np.ndarray, float]:
+        found = self._normed.get(text)
+        if found is None:
+            vec = self.provider.embed(text)
+            found = self._normed[text] = (vec, vector_norm(vec))
+        return found
+
+    def name_cosine01(self, a: str, b: str) -> float:
+        cos = self._cosines.get((a, b))
+        if cos is None:
+            (va, na), (vb, nb) = self.normed(a), self.normed(b)
+            cos = self._cosines[(a, b)] = cosine01(va, vb, na, nb)
+        return cos
+
+    def table_cosine01(self, ti: TableDef, tj: TableDef) -> float:
+        (ei, ni), (ej, nj) = self._table_normed(ti), self._table_normed(tj)
+        return cosine01(ei, ej, ni, nj)
+
+    def _table_normed(self, t: TableDef) -> tuple[np.ndarray, float]:
+        key = (t.name, *(c.name for c in t.columns))
+        found = self._tables.get(key)
+        if found is None:
+            vec = table_embedding(t, self)
+            found = self._tables[key] = (vec, vector_norm(vec))
+        return found
+
+
+def _name_vectors(provider: Optional[EmbeddingProvider]) -> _NameVectors:
+    if isinstance(provider, _NameVectors):
+        return provider
+    return _NameVectors(provider or default_provider())
+
+
 def type_match(ci: ColumnDef, cj: ColumnDef) -> float:
     return 1.0 if ci.declared_type == cj.declared_type else 0.0
 
@@ -100,8 +165,7 @@ def column_pair_similarity(
     weights: CostWeights = DEFAULT_WEIGHTS,
     provider: Optional[EmbeddingProvider] = None,
 ) -> float:
-    provider = provider or default_provider()
-    cos = cosine01(provider.embed(ci.name), provider.embed(cj.name))
+    cos = _name_vectors(provider).name_cosine01(ci.name, cj.name)
     return weights.sim_alpha * cos + (1.0 - weights.sim_alpha) * type_match(ci, cj)
 
 
@@ -112,12 +176,13 @@ def table_similarity(
     provider: Optional[EmbeddingProvider] = None,
 ) -> tuple[float, tuple[str, str]]:
     """Max column-pair similarity; ties go to the lexicographically first pair."""
-    provider = provider or default_provider()
+    vectors = _name_vectors(provider)
     best = -1.0
     best_pair = ("", "")
+    columns_j = sorted(tj.columns, key=lambda c: c.name)
     for ci in sorted(ti.columns, key=lambda c: c.name):
-        for cj in sorted(tj.columns, key=lambda c: c.name):
-            s = column_pair_similarity(ci, cj, weights, provider)
+        for cj in columns_j:
+            s = column_pair_similarity(ci, cj, weights, vectors)
             if s > best:
                 best = s
                 best_pair = (ci.name, cj.name)
@@ -132,12 +197,10 @@ def connection_cost(
     provider: Optional[EmbeddingProvider] = None,
 ) -> float:
     """FK indicator, max column-name cosine and shared declared type, blended."""
-    provider = provider or default_provider()
+    vectors = _name_vectors(provider)
     not_fk = 0.0 if schema.has_fk(ti.name, tj.name) else 1.0
     sim_name = max(
-        cosine01(provider.embed(ci.name), provider.embed(cj.name))
-        for ci in ti.columns
-        for cj in tj.columns
+        vectors.name_cosine01(ci.name, cj.name) for ci in ti.columns for cj in tj.columns
     )
     shared_type = {c.declared_type for c in ti.columns} & {c.declared_type for c in tj.columns}
     sim_type = 1.0 if shared_type else 0.0
@@ -156,8 +219,7 @@ def semantic_cost(
     tj: TableDef,
     provider: Optional[EmbeddingProvider] = None,
 ) -> float:
-    provider = provider or default_provider()
-    return 1.0 - cosine01(table_embedding(ti, provider), table_embedding(tj, provider))
+    return 1.0 - _name_vectors(provider).table_cosine01(ti, tj)
 
 
 def statistical_cost(
@@ -245,10 +307,46 @@ class SchemaGraph:
         )
 
 
+# How far below ``tau`` a screened similarity must fall before its table pair
+# is skipped. The screen and the exact cosine each round by at most about
+# d * 2**-53 for d-dimensional embeddings (under 1e-12 up to 8,000
+# dimensions), so a pair within the margin is always rescored exactly.
+SCREEN_MARGIN = 1e-9
+
+
+def _screened_similarity(
+    tables: list[TableDef], weights: CostWeights, vectors: _NameVectors
+) -> np.ndarray:
+    """Every table pair's best column-pair similarity, to within rounding.
+
+    The unit rows of all column-name embeddings, multiplied by their
+    transpose one table's rows at a time (so memory grows with the columns,
+    not their square), give every column-pair cosine; a block maximum per
+    table pair approximates what ``table_similarity`` returns. A screen
+    only: none of its values is exported. A non-finite embedding makes its
+    entries NaN, which no comparison with ``tau`` drops.
+    """
+    columns = [c for t in tables for c in t.columns]
+    normed = [vectors.normed(c.name) for c in columns]
+    rows = np.stack([v for v, _n in normed])
+    norms = np.array([n for _v, n in normed])[:, None]
+    units = np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0.0)
+    kinds: dict[str, int] = {}
+    codes = np.array([kinds.setdefault(c.declared_type, len(kinds)) for c in columns])
+    starts = np.cumsum([0] + [len(t.columns) for t in tables])
+    best = np.empty((len(tables), len(tables)))
+    for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        cos = np.clip(units[lo:hi] @ units.T, 0.0, 1.0)
+        same_type = codes[lo:hi, None] == codes[None, :]
+        sims = weights.sim_alpha * cos + (1.0 - weights.sim_alpha) * same_type
+        best[i] = np.maximum.reduceat(sims.max(axis=0), starts[:-1])
+    return best
+
+
 def _admitted_pairs(
     schema: Schema,
     weights: CostWeights,
-    provider: EmbeddingProvider,
+    provider: Optional[EmbeddingProvider],
     overrides: Container[EdgeKey] = (),
 ) -> Iterator[tuple[TableDef, TableDef, bool, tuple[str, str]]]:
     """The edge-admission rule, applied to table pairs in sorted order.
@@ -256,14 +354,28 @@ def _admitted_pairs(
     A pair is admitted iff a foreign key links it, its best column-pair
     similarity reaches ``tau``, or it is in ``overrides``. Yields both tables,
     the FK flag and the best column pair of each admitted pair.
+
+    The similarity screen skips each pair with no FK and no override whose
+    screened similarity is below ``tau - SCREEN_MARGIN``; every other pair
+    is rescored exactly by ``table_similarity``, which alone decides.
     """
     names = sorted(schema.table_names)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            ti, tj = schema.table(a), schema.table(b)
-            has_fk = schema.has_fk(a, b)
-            s, best_pair = table_similarity(ti, tj, weights, provider)
-            if has_fk or s >= weights.tau or (a, b) in overrides:
+    if len(names) < 2:
+        return
+    vectors = _name_vectors(provider)
+    tables = [schema.table(n) for n in names]
+    fk_pairs = {edge_key(fk.from_table, fk.to_table) for fk in schema.foreign_keys}
+    screened = _screened_similarity(tables, weights, vectors)
+    floor = weights.tau - SCREEN_MARGIN
+    for i, (a, ti) in enumerate(zip(names, tables)):
+        for j in range(i + 1, len(names)):
+            b, tj = names[j], tables[j]
+            has_fk = (a, b) in fk_pairs
+            override = (a, b) in overrides
+            if not (has_fk or override) and screened[i, j] < floor:
+                continue  # cannot reach tau
+            s, best_pair = table_similarity(ti, tj, weights, vectors)
+            if has_fk or s >= weights.tau or override:
                 yield ti, tj, has_fk, best_pair
 
 
@@ -273,7 +385,6 @@ def candidate_join_pairs(
     provider: Optional[EmbeddingProvider] = None,
 ) -> list[JoinPair]:
     """Join-column pairs the edge rule admits: FK columns, else best column pair."""
-    provider = provider or default_provider()
     ends: list[tuple[tuple[str, str], tuple[str, str]]] = []
     for ti, tj, has_fk, (ca, cb) in _admitted_pairs(schema, weights, provider):
         if has_fk:
@@ -301,10 +412,10 @@ def build_schema_graph(
     re-planning loop's edge exclusions, so the loop builds it once per
     question and drops excluded edges with ``SchemaGraph.without``.
     """
-    provider = provider or default_provider()
+    vectors = _name_vectors(provider)
     overrides = {edge_key(a, b): c for (a, b), c in (cost_overrides or {}).items()}
     edges: dict[EdgeKey, EdgeCost] = {}
-    for ti, tj, has_fk, best_pair in _admitted_pairs(schema, weights, provider, overrides):
+    for ti, tj, has_fk, best_pair in _admitted_pairs(schema, weights, vectors, overrides):
         key = (ti.name, tj.name)
         if key in overrides:
             c = overrides[key]
@@ -313,8 +424,8 @@ def build_schema_graph(
                 has_fk=has_fk, best_column_pair=best_pair,
             )
             continue
-        connect = connection_cost(ti, tj, schema, weights, provider)
-        sem = semantic_cost(ti, tj, provider)
+        connect = connection_cost(ti, tj, schema, weights, vectors)
+        sem = semantic_cost(ti, tj, vectors)
         stat = statistical_cost(ti, tj, stats, weights)
         total = weights.alpha * connect + weights.beta * sem + weights.gamma * stat
         edges[key] = EdgeCost(

@@ -168,15 +168,28 @@ def embed_text(text: str, provider: EmbeddingProvider | None = None) -> np.ndarr
     return (provider or default_provider()).embed(text)
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain cosine similarity; 0.0 when either vector is zero."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm, as :func:`cosine` computes it."""
+    return float(np.linalg.norm(v))
+
+
+def cosine(
+    a: np.ndarray, b: np.ndarray, na: float | None = None, nb: float | None = None
+) -> float:
+    """Plain cosine similarity; 0.0 when either vector is zero.
+
+    ``na`` and ``nb`` are the norms of ``a`` and ``b`` (:func:`vector_norm`)
+    when the caller has them cached; the result is the same either way.
+    """
+    na = vector_norm(a) if na is None else na
+    nb = vector_norm(b) if nb is None else nb
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
 
 
-def cosine01(a: np.ndarray, b: np.ndarray) -> float:
+def cosine01(
+    a: np.ndarray, b: np.ndarray, na: float | None = None, nb: float | None = None
+) -> float:
     """Cosine clamped to [0, 1], the form every cost formula consumes."""
-    return min(1.0, max(0.0, cosine(a, b)))
+    return min(1.0, max(0.0, cosine(a, b, na, nb)))

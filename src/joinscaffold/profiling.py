@@ -57,20 +57,26 @@ class StatsProfile:
     distinct_counts: dict[tuple[str, str], int] = field(default_factory=dict)
     samples: dict[tuple[str, str], tuple] = field(default_factory=dict)
     pairs: dict[JoinPair, PairStats] = field(default_factory=dict)
+    _by_table_pair: dict[tuple[str, str], PairStats] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # The best selectivity of each table pair; ties go to the first column
+        # pair in sorted order.
+        best: dict[tuple[str, str], PairStats] = {}
+        for (a, _ca, b, _cb), stats in sorted(self.pairs.items()):
+            key = (min(a, b), max(a, b))
+            if key not in best or stats.selectivity > best[key].selectivity:
+                best[key] = stats
+        object.__setattr__(self, "_by_table_pair", best)
 
     def pair_stats(self, ta: str, ca: str, tb: str, cb: str) -> Optional[PairStats]:
         return self.pairs.get(_pair_key(ta, ca, tb, cb))
 
     def table_pair_stats(self, ta: str, tb: str) -> Optional[PairStats]:
         """Best-selectivity stats over any profiled column pair of two tables."""
-        found = [
-            stats
-            for (a, _ca, b, _cb), stats in sorted(self.pairs.items())
-            if {a, b} == {ta, tb}
-        ]
-        if not found:
-            return None
-        return max(found, key=lambda s: s.selectivity)
+        return self._by_table_pair.get((min(ta, tb), max(ta, tb)))
 
 
 def _sample_table(

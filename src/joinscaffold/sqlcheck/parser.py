@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 _KEYWORDS = {
     "SELECT", "DISTINCT", "ALL", "AS", "FROM", "JOIN", "INNER", "LEFT", "RIGHT",
@@ -24,6 +24,11 @@ _KEYWORDS = {
 }
 
 AGGREGATE_FUNCTIONS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
+
+# Deepest expression nesting (parentheses, CASE, CAST, function arguments,
+# prefix NOT and signs) the recursive descent accepts; deeper input would
+# exhaust the interpreter's stack, so it is reported as unsupported.
+MAX_NESTING = 50
 
 
 class ParseError(Exception):
@@ -227,6 +232,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -252,6 +258,18 @@ class _Parser:
 
     def unsupported(self, construct: str, offset: int) -> ParseError:
         return ParseError(f"unsupported construct: {construct}", offset, kind="unsupported")
+
+    def descend(self, parse: Callable[[], Expr]) -> Expr:
+        """``parse()`` one nesting level further down."""
+        if self.depth == MAX_NESTING:
+            raise self.unsupported(
+                f"expression nested deeper than {MAX_NESTING} levels", self.peek().offset
+            )
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     # -- entry -------------------------------------------------------------
 
@@ -386,7 +404,7 @@ class _Parser:
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self.parse_or()
+        return self.descend(self.parse_or)
 
     def parse_or(self) -> Expr:
         left = self.parse_and()
@@ -402,7 +420,7 @@ class _Parser:
 
     def parse_not(self) -> Expr:
         if self.accept("KEYWORD", "NOT"):
-            return UnaryOp("NOT", self.parse_not())
+            return UnaryOp("NOT", self.descend(self.parse_not))
         return self.parse_predicate()
 
     def parse_predicate(self) -> Expr:
@@ -469,7 +487,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "OP" and tok.value in ("-", "+"):
             self.advance()
-            return UnaryOp(tok.value, self.parse_unary())
+            return UnaryOp(tok.value, self.descend(self.parse_unary))
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:

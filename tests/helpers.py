@@ -58,11 +58,14 @@ def engineer_cosine_pair(c: float, dimension: int = 64) -> tuple[np.ndarray, np.
     raise AssertionError(f"could not engineer cosine {c}")
 
 
-def engineer_similarity_cosine(target: float, sim_alpha: float = 0.85) -> float:
-    """Float c with sim_alpha * c == target exactly (type-mismatch path)."""
-    c = target / sim_alpha
+def engineer_similarity_cosine(
+    target: float, sim_alpha: float = 0.85, type_match: float = 0.0
+) -> float:
+    """Float c with sim_alpha * c + (1 - sim_alpha) * type_match == target
+    exactly (by default the type-mismatch path, where the sum is sim_alpha * c)."""
+    c = (target - (1.0 - sim_alpha) * type_match) / sim_alpha
     for _ in range(10_000):
-        value = sim_alpha * c
+        value = sim_alpha * c + (1.0 - sim_alpha) * type_match
         if value == target:
             return c
         c = math.nextafter(c, 0.0 if value > target else 2.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from joinscaffold import costs
 from joinscaffold.costs import (
     CostWeights,
     DEFAULT_WEIGHTS,
+    EdgeCost,
     SchemaGraph,
     build_schema_graph,
     candidate_join_pairs,
@@ -24,12 +27,13 @@ from joinscaffold.costs import (
     table_embedding,
     table_similarity,
     type_match,
+    edge_key,
     graph_document,
     load_graph_document,
 )
-from joinscaffold.embedding import TrigramEmbeddingProvider, cosine01
-from joinscaffold.profiling import PairStats, StatsProfile
-from joinscaffold.schema import ColumnDef, ForeignKey, Schema, TableDef
+from joinscaffold.embedding import TrigramEmbeddingProvider, cosine01, default_provider
+from joinscaffold.profiling import NEUTRAL, PairStats, StatsProfile
+from joinscaffold.schema import DECLARED_TYPES, ColumnDef, ForeignKey, Schema, TableDef
 
 
 def make_schema(tables, fks=()):
@@ -289,18 +293,187 @@ def test_connection_cost_matches_argmax_reference(cols_a, cols_b, fk):
     )
 
 
-def test_traced_run_scores_every_table_pair_once(company_schema):
+# ---------------------------------------------------------------------------
+# The per-pair scalar walk the graph build used before the similarity screen:
+# every table pair scored column pair by column pair, with no cached norms,
+# vectors or indexes. The screened build must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_table_similarity(ti, tj, weights, provider):
+    best, best_pair = -1.0, ("", "")
+    for ci in sorted(ti.columns, key=lambda c: c.name):
+        for cj in sorted(tj.columns, key=lambda c: c.name):
+            cos = cosine01(provider.embed(ci.name), provider.embed(cj.name))
+            s = weights.sim_alpha * cos + (1.0 - weights.sim_alpha) * type_match(ci, cj)
+            if s > best:
+                best, best_pair = s, (ci.name, cj.name)
+    return best, best_pair
+
+
+def reference_table_pair_stats(stats, ta, tb):
+    found = [
+        pair for (a, _ca, b, _cb), pair in sorted(stats.pairs.items()) if {a, b} == {ta, tb}
+    ]
+    return max(found, key=lambda pair: pair.selectivity) if found else None
+
+
+def _reference_mean_embedding(t, provider):
+    vectors = [provider.embed(t.name)] + [provider.embed(c.name) for c in t.columns]
+    return np.mean(np.stack(vectors), axis=0)
+
+
+def reference_graph(schema, stats, weights, provider, cost_overrides=None):
+    w = weights
+    overrides = {edge_key(a, b): c for (a, b), c in (cost_overrides or {}).items()}
+    names = sorted(schema.table_names)
+    edges = {}
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            ti, tj = schema.table(a), schema.table(b)
+            has_fk = schema.has_fk(a, b)
+            s, best_pair = reference_table_similarity(ti, tj, w, provider)
+            if not (has_fk or s >= w.tau or (a, b) in overrides):
+                continue
+            if (a, b) in overrides:
+                c = overrides[(a, b)]
+                edges[(a, b)] = EdgeCost(c, c, c, c, has_fk, best_pair)
+                continue
+            sim_name = max(
+                cosine01(provider.embed(ci.name), provider.embed(cj.name))
+                for ci in ti.columns
+                for cj in tj.columns
+            )
+            shared = {c.declared_type for c in ti.columns} & {c.declared_type for c in tj.columns}
+            connect = (
+                w.w1 * (0.0 if has_fk else 1.0)
+                + w.w2 * (1.0 - sim_name)
+                + w.w3 * (1.0 - (1.0 if shared else 0.0))
+            )
+            sem = 1.0 - cosine01(
+                _reference_mean_embedding(ti, provider), _reference_mean_embedding(tj, provider)
+            )
+            pair = reference_table_pair_stats(stats, a, b) if stats is not None else None
+            sel = pair.selectivity if pair is not None else NEUTRAL
+            corr = pair.correlation if pair is not None else NEUTRAL
+            stat = w.w4 * (1.0 - sel) + w.w5 * (1.0 - corr)
+            total = w.alpha * connect + w.beta * sem + w.gamma * stat
+            edges[(a, b)] = EdgeCost(connect, sem, stat, total, has_fk, best_pair)
+    return SchemaGraph(tuple(names), edges)
+
+
+_NAMES = (
+    "id", "customer_id", "cust_id", "order_id", "order_no", "name", "names",
+    "amount", "amt", "region", "region_code", "created_at", "date",
+)
+# Similarity paths that can land exactly on each tau (0.9 exceeds sim_alpha,
+# so only a type match reaches it; no float cosine gives 0.6 with a match).
+_ENGINEERED_PATHS = {0.6: (0.0,), 0.75: (0.0, 1.0), 0.9: (1.0,)}
+
+
+@st.composite
+def _screen_cases(draw):
+    n_tables = draw(st.integers(2, 7))
+    tables = []
+    for t in range(n_tables):
+        names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+        tables.append(TableDef(f"t{t}", tuple(
+            col(n, draw(st.sampled_from(DECLARED_TYPES[:3]))) for n in names
+        )))
+    tau = draw(st.sampled_from(sorted(_ENGINEERED_PATHS)))
+    pinned = {}
+    vectors = {}
+    target = None
+    offset = draw(st.sampled_from([None, -1, 0, 1]))  # ulps from tau, or no engineered pair
+    if offset is not None:
+        target = tau if offset == 0 else math.nextafter(tau, 2.0 * offset)
+        match = draw(st.sampled_from(_ENGINEERED_PATHS[tau]))
+        a, b = engineer_cosine_pair(engineer_similarity_cosine(target, type_match=match))
+        vectors = {"eng_left": a, "eng_right": b}
+        tables.append(TableDef("zz_left", (col("eng_left", "integer"),)))
+        tables.append(TableDef("zz_right", (col("eng_right", "integer" if match else "text"),)))
+    fks = []
+    for _ in range(draw(st.integers(0, 3))):
+        ta, tb = draw(st.sampled_from(tables)), draw(st.sampled_from(tables))
+        fks.append(ForeignKey(
+            ta.name, draw(st.sampled_from(ta.columns)).name,
+            tb.name, draw(st.sampled_from(tb.columns)).name,
+        ))
+    names = [t.name for t in tables]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        if a != b:
+            pinned[(a, b)] = draw(st.sampled_from([0.0, 0.25, 0.9]))
+    pairs = {}
+    for _ in range(draw(st.integers(0, 6))):
+        ta, tb = draw(st.sampled_from(tables)), draw(st.sampled_from(tables))
+        key = (ta.name, draw(st.sampled_from(ta.columns)).name,
+               tb.name, draw(st.sampled_from(tb.columns)).name)
+        pairs[key] = PairStats(
+            draw(st.sampled_from([0.2, 0.5, 0.8])), draw(st.sampled_from([0.1, 0.6]))
+        )
+    schema = make_schema(draw(st.permutations(tables)), fks)
+    stats = StatsProfile(sample_limit=10, pairs=pairs)
+    return schema, stats, CostWeights(tau=tau), pinned, vectors, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(_screen_cases())
+def test_screened_build_equals_the_scalar_reference_walk(case):
+    schema, stats, weights, pinned, vectors, target = case
+    provider = FixedProvider(vectors)
+    built = build_schema_graph(schema, stats, weights, provider, pinned)
+    expected = reference_graph(schema, stats, weights, provider, pinned)
+    assert graph_document(built) == graph_document(expected)
+    assert {k: e.best_column_pair for k, e in built.edges.items()} == {
+        k: e.best_column_pair for k, e in expected.edges.items()
+    }
+    assert candidate_join_pairs(schema, weights, provider) == admitted_join_columns(
+        schema, reference_graph(schema, None, weights, provider)
+    )
+    if target is not None:  # the pair at tau +- 1 ulp is admitted iff it reaches tau
+        s, _pair = table_similarity(
+            schema.table("zz_left"), schema.table("zz_right"), weights, provider
+        )
+        assert s == target
+        assert built.has_edge("zz_left", "zz_right") == (
+            target >= weights.tau
+            or schema.has_fk("zz_left", "zz_right")
+            or edge_key("zz_left", "zz_right") in {edge_key(*k) for k in pinned}
+        )
+
+
+@pytest.mark.parametrize("tau", [0.6, 0.75])
+def test_traced_build_rescores_exactly_the_pairs_the_screen_passes(company_schema, tau):
     # The traced benchmark run counts costs.table_pairs_scored by wrapping
-    # costs.table_similarity; a graph build that bypassed it would read 0.
+    # costs.table_similarity. The build must rescore through it each pair
+    # with an FK or an override and each pair whose similarity comes within
+    # the screen margin of tau, and no other pair.
+    weights = CostWeights(tau=tau)
+    pinned = {("departments", "assignments"): 0.5}
+    provider = default_provider()
+    names = sorted(company_schema.table_names)
+    expected = 0
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            s, _pair = reference_table_similarity(
+                company_schema.table(a), company_schema.table(b), weights, provider
+            )
+            expected += (
+                company_schema.has_fk(a, b)
+                or edge_key(a, b) in {edge_key(*k) for k in pinned}
+                or s >= tau - costs.SCREEN_MARGIN
+            )
     spans = load_perfbench_spans()
     rec = spans.Recorder()
     spans.instrument(rec)
     try:
-        costs.build_schema_graph(company_schema)
+        costs.build_schema_graph(company_schema, weights=weights, cost_overrides=pinned)
     finally:
         rec.unpatch()
-    n = len(company_schema.table_names)
-    assert rec.counters["setup"]["costs.table_pairs_scored"] == n * (n - 1) // 2
+    scored = rec.counters["setup"]["costs.table_pairs_scored"]
+    assert scored == expected
+    assert 0 < scored < len(names) * (len(names) - 1) // 2  # counted, and some skipped
     assert rec.counters["setup"]["costs.build_graph_calls"] == 1
 
 
@@ -341,3 +514,13 @@ def test_graph_document_round_trip(analytics_schema):
 def test_graph_rejects_self_loop():
     with pytest.raises(ValueError):
         SchemaGraph.from_weights(["a"], {("a", "a"): 0.5})
+
+
+def test_semantic_cost_tells_apart_tables_that_share_a_name():
+    provider = TrigramEmbeddingProvider()
+    ta = TableDef("orders", (col("order_id", "integer"),))
+    tb = TableDef("orders", (col("shipment_date", "date"), col("carrier", "text")))
+    expected = 1.0 - cosine01(
+        _reference_mean_embedding(ta, provider), _reference_mean_embedding(tb, provider)
+    )
+    assert semantic_cost(ta, tb, provider) == expected > 0.0

@@ -15,6 +15,7 @@ from joinscaffold.embedding import (
     _trigrams,
     cosine,
     cosine01,
+    vector_norm,
 )
 
 
@@ -143,3 +144,13 @@ def test_embed_text_uses_default_provider():
     from joinscaffold.embedding import embed_text, default_provider
 
     assert np.array_equal(embed_text("price"), default_provider().embed("price"))
+
+
+def test_cosine_with_cached_norms_is_bit_identical():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        a, b = rng.normal(size=64) * rng.uniform(1e-3, 1e3), rng.normal(size=64)
+        na, nb = vector_norm(a), vector_norm(b)
+        assert cosine(a, b, na, nb) == cosine(a, b)
+        assert cosine01(a, b, na, nb) == cosine01(a, b)
+    assert cosine(np.zeros(3), np.ones(3), 0.0, vector_norm(np.ones(3))) == 0.0

@@ -4,6 +4,8 @@ import pytest
 
 from joinscaffold.profiling import (
     NEUTRAL,
+    PairStats,
+    StatsProfile,
     cramers_v,
     jaccard,
     profile_statistics,
@@ -154,3 +156,20 @@ def test_double_quote_in_table_and_column_names_loads_and_profiles(tmp_path):
     pair = ('od"d', 'pa"rent', 'par"ents', 'i"d')
     stats = profile_statistics(schema, path, pairs=[pair]).pair_stats(*pair)
     assert stats.selectivity == 1.0
+
+
+def test_table_pair_stats_ties_go_to_the_first_column_pair_in_sorted_order():
+    first, second, lower = PairStats(0.4, 0.9), PairStats(0.4, 0.1), PairStats(0.3, 0.5)
+    profile = StatsProfile(
+        sample_limit=10,
+        pairs={
+            ("a", "y", "b", "k"): second,
+            ("a", "x", "b", "k"): first,
+            ("a", "w", "b", "k"): lower,
+            ("a", "x", "c", "k"): PairStats(0.9, 0.9),
+        },
+    )
+    assert profile.table_pair_stats("a", "b") is first
+    assert profile.table_pair_stats("b", "a") is first
+    assert profile.table_pair_stats("a", "c").selectivity == 0.9
+    assert profile.table_pair_stats("b", "c") is None

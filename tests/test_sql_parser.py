@@ -1,6 +1,12 @@
+from datetime import timedelta
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from joinscaffold.sqlcheck.parser import (
+    AGGREGATE_FUNCTIONS,
+    MAX_NESTING,
+    _KEYWORDS,
     BetweenOp,
     BinaryOp,
     CaseExpr,
@@ -175,3 +181,56 @@ def test_where_function_call():
     assert isinstance(fn, FuncCall)
     assert fn.name == "SUBSTR"
     assert not fn.is_aggregate()
+
+
+# -- hostile input ------------------------------------------------------------
+
+_FUZZ_TOKENS = st.one_of(
+    st.sampled_from(sorted(_KEYWORDS | AGGREGATE_FUNCTIONS)),
+    st.sampled_from(
+        ["(", ")", ",", ".", ";", "*", "+", "-", "/", "%", "=", "<", ">", "<=", ">=",
+         "<>", "!=", "||", "--", "/*", "*/", "'", '"', "`", "[", "]"]
+    ),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_$]{0,6}", fullmatch=True),
+    st.from_regex(r"\d{1,4}(\.\d{0,3})?([eE][+-]?\d{1,2})?|\.\d{1,3}", fullmatch=True),
+    st.from_regex(r"'([^']|''){0,5}'|\"[^\"]{0,5}\"|`[^`]{0,5}`|\[[^\]]{0,5}\]", fullmatch=True),
+    st.text(max_size=3),
+)
+# Openers repeated to a depth no hand-written query reaches.
+_NESTING = st.tuples(
+    st.sampled_from(["(", "NOT ", "- ", "+ ", "CASE WHEN 1 THEN ", "CAST(", "f(", "SUM("]),
+    st.integers(0, 400),
+)
+
+
+@st.composite
+def _hostile_sql(draw):
+    opener, depth = draw(_NESTING)
+    closer = {"(": ")", "CASE WHEN 1 THEN ": " END", "CAST(": " AS int)", "f(": ")",
+              "SUM(": ")"}.get(opener, "")
+    head = draw(st.sampled_from(["", "SELECT ", "SELECT a FROM t WHERE "]))
+    body = " ".join(draw(st.lists(_FUZZ_TOKENS, max_size=40)))
+    tail = draw(st.sampled_from(["", " FROM t", " FROM t GROUP BY a"]))
+    return head + opener * depth + body + closer * draw(st.integers(0, depth)) + tail
+
+
+@settings(max_examples=400, deadline=timedelta(seconds=2))
+@given(st.one_of(_hostile_sql(), st.text(max_size=120)))
+def test_parse_sql_raises_only_parse_error(text):
+    # Any input either parses or raises ParseError, within the deadline.
+    try:
+        parse_sql(text)
+    except ParseError as exc:
+        assert exc.kind in ("syntax", "unsupported")
+
+
+def test_nesting_up_to_the_limit_parses_and_deeper_is_unsupported():
+    def nested(n):
+        return "SELECT " + "(" * n + "a" + ")" * n + " FROM t"
+
+    # the select item itself is one level, so MAX_NESTING - 1 parentheses fit
+    assert parse_sql(nested(MAX_NESTING - 1)).select_items[0].expr == ColumnRef(None, "a")
+    with pytest.raises(ParseError) as exc:
+        parse_sql(nested(MAX_NESTING))
+    assert exc.value.kind == "unsupported"
+    assert "nested deeper" in exc.value.message

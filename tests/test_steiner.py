@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -518,3 +519,18 @@ def test_scaffold_validation_rejects_cycles_and_disconnection():
             vertices=("a", "b", "c", "d"),
             edges=(("a", "b", 0.1), ("c", "d", 0.1), ("a", "b", 0.1)),
         )
+
+
+@pytest.mark.parametrize(
+    "w", [0.0, 1e-7, 0.1, 123.456, 0.123456, 0.999999, 7.000001, 0.30000000000000004]
+)
+def test_decimal_ratio_equals_the_fraction_of_the_decimal_value(w):
+    exact = Fraction(repr(w))
+    assert steiner._decimal_ratio(w) == (exact.numerator, exact.denominator)
+
+
+def test_dreyfus_wagner_scales_over_the_common_decimal_denominator():
+    graph = graph_of({("a", "b"): 0.1, ("b", "c"): 123.456, ("a", "c"): 0.000001})
+    row, denominator = steiner._dreyfus_wagner(graph, ["a", "c"])
+    assert denominator == 1_000_000
+    assert row == {"a": 1, "c": 1, "b": 100_001}
