@@ -1,7 +1,8 @@
 """Run the full planning loop offline with a scripted generator.
 
-The loop: decompose once, then up to three rounds of graph build, scaffold
-solve, prompt assembly, generation, and validation. The stub generator here
+The loop: decompose and take the schema graph once (a later question on the
+same schema reuses the graph), then up to three rounds of scaffold solve,
+prompt assembly, generation, and validation. The stub generator here
 returns a terminal-dropping query first, so the loop re-plans and the second
 answer passes.
 """

@@ -26,6 +26,17 @@ only exact values decide admission or reach an exported cost. Within one
 build each name is embedded and normed once, each table's mean embedding is
 computed once, and the connection cost reuses the column-pair cosines its
 pair's rescoring computed.
+
+Neither the admission walk nor the graph depends on a question, so both are
+memoized in one module-level slot. The walk (the name vectors and the list
+of admitted pairs) is keyed by the schema and the weights (compared with
+``==``), the embedding provider (by identity) and the set of cost-override
+pairs; ``candidate_join_pairs`` and ``build_schema_graph`` share it. The
+slot also keeps the last graph costed from that walk, keyed further by the
+statistics (``==``) and the override costs. Asking many questions of one
+schema therefore walks and costs once; a different key replaces the slot.
+The memoized graph is handed to every caller, so ``SchemaGraph.edges`` is a
+read-only mapping.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Container, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -236,10 +248,14 @@ def statistical_cost(
 
 @dataclass(frozen=True)
 class SchemaGraph:
-    """Weighted undirected graph over table names. No self-loops, no parallels."""
+    """Weighted undirected graph over table names. No self-loops, no parallels.
+
+    ``edges`` is stored as a read-only view of a private copy, so one graph
+    can be shared by every caller that asks for it.
+    """
 
     vertices: tuple[str, ...]
-    edges: dict[EdgeKey, EdgeCost]
+    edges: Mapping[EdgeKey, EdgeCost]
     _adjacency: dict[str, tuple[str, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -248,6 +264,7 @@ class SchemaGraph:
     )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
         vset = set(self.vertices)
         adj: dict[str, list[tuple[str, float]]] = {v: [] for v in self.vertices}
         for (a, b), cost in self.edges.items():
@@ -300,8 +317,13 @@ class SchemaGraph:
         return [(a, b, c) for (a, b), c in sorted(self.edges.items())]
 
     def without(self, pairs: Iterable[tuple[str, str]]) -> "SchemaGraph":
-        """This graph minus the edges between the given table pairs, if present."""
+        """This graph minus the edges between the given table pairs, if present.
+
+        Returns this graph itself when none of the pairs is an edge.
+        """
         drop = {edge_key(a, b) for a, b in pairs}
+        if drop.isdisjoint(self.edges):
+            return self
         return SchemaGraph(
             self.vertices, {k: c for k, c in self.edges.items() if k not in drop}
         )
@@ -346,7 +368,7 @@ def _screened_similarity(
 def _admitted_pairs(
     schema: Schema,
     weights: CostWeights,
-    provider: Optional[EmbeddingProvider],
+    vectors: _NameVectors,
     overrides: Container[EdgeKey] = (),
 ) -> Iterator[tuple[TableDef, TableDef, bool, tuple[str, str]]]:
     """The edge-admission rule, applied to table pairs in sorted order.
@@ -362,7 +384,6 @@ def _admitted_pairs(
     names = sorted(schema.table_names)
     if len(names) < 2:
         return
-    vectors = _name_vectors(provider)
     tables = [schema.table(n) for n in names]
     fk_pairs = {edge_key(fk.from_table, fk.to_table) for fk in schema.foreign_keys}
     screened = _screened_similarity(tables, weights, vectors)
@@ -379,6 +400,54 @@ def _admitted_pairs(
                 yield ti, tj, has_fk, best_pair
 
 
+class _Admission:
+    """One materialised admission walk and the last graph costed from it."""
+
+    def __init__(
+        self,
+        schema: Schema,
+        weights: CostWeights,
+        provider: EmbeddingProvider,
+        overrides: frozenset[EdgeKey],
+        vectors: _NameVectors,
+    ) -> None:
+        self.key = (schema, weights, overrides)
+        self.provider = provider
+        self.vectors = vectors
+        self.pairs = list(_admitted_pairs(schema, weights, vectors, overrides))
+        # (statistics, override costs) -> the graph costed from ``pairs``
+        self.graph: Optional[tuple[tuple, SchemaGraph]] = None
+
+
+# The one memo slot: the last admission walk, with its last graph. Each call
+# reads it once and replaces it whole, so concurrent callers can at worst
+# repeat a walk or a build; none sees a half-made entry.
+_memo: Optional[_Admission] = None
+
+
+def _admission(
+    schema: Schema,
+    weights: CostWeights,
+    provider: Optional[EmbeddingProvider],
+    overrides: frozenset[EdgeKey] = frozenset(),
+) -> _Admission:
+    """The admission walk for this key, from the memo slot when it matches.
+
+    The key is the schema and the weights (``==``), the underlying provider
+    (identity; a ``_NameVectors`` stands for the provider it wraps) and the
+    override pairs. A miss walks again and replaces the slot.
+    """
+    global _memo
+    vectors = provider if isinstance(provider, _NameVectors) else None
+    base = vectors.provider if vectors is not None else provider or default_provider()
+    memo = _memo
+    if memo is None or memo.provider is not base or memo.key != (schema, weights, overrides):
+        memo = _memo = _Admission(
+            schema, weights, base, overrides, vectors or _NameVectors(base)
+        )
+    return memo
+
+
 def candidate_join_pairs(
     schema: Schema,
     weights: CostWeights = DEFAULT_WEIGHTS,
@@ -386,7 +455,7 @@ def candidate_join_pairs(
 ) -> list[JoinPair]:
     """Join-column pairs the edge rule admits: FK columns, else best column pair."""
     ends: list[tuple[tuple[str, str], tuple[str, str]]] = []
-    for ti, tj, has_fk, (ca, cb) in _admitted_pairs(schema, weights, provider):
+    for ti, tj, has_fk, (ca, cb) in _admission(schema, weights, provider).pairs:
         if has_fk:
             ends += [
                 ((fk.from_table, fk.from_column), (fk.to_table, fk.to_column))
@@ -404,18 +473,26 @@ def build_schema_graph(
     provider: Optional[EmbeddingProvider] = None,
     cost_overrides: Optional[Mapping[tuple[str, str], float]] = None,
 ) -> SchemaGraph:
-    """Assemble the weighted schema graph.
+    """Assemble the weighted schema graph, or return the memoized one.
 
     ``cost_overrides`` maps table pairs to pinned total costs (every component
     is set to the pinned value, which keeps the blend identity intact); pairs
-    listed there are always admitted. The graph does not depend on the
-    re-planning loop's edge exclusions, so the loop builds it once per
-    question and drops excluded edges with ``SchemaGraph.without``.
+    listed there are always admitted. The graph depends on the schema, the
+    statistics, the weights, the provider and the overrides, never on a
+    question or on the re-planning loop's edge exclusions: the last graph
+    built is returned again while those match (see the module docstring),
+    and the loop drops excluded edges with ``SchemaGraph.without``.
     """
-    vectors = _name_vectors(provider)
     overrides = {edge_key(a, b): c for (a, b), c in (cost_overrides or {}).items()}
+    admission = _admission(schema, weights, provider, frozenset(overrides))
+    # Override costs compare by repr, so 1 and 1.0 (or 0.0 and -0.0), which
+    # export differently, never share a graph.
+    graph_key = (stats, {k: repr(c) for k, c in overrides.items()})
+    if admission.graph is not None and admission.graph[0] == graph_key:
+        return admission.graph[1]
+    vectors = admission.vectors
     edges: dict[EdgeKey, EdgeCost] = {}
-    for ti, tj, has_fk, best_pair in _admitted_pairs(schema, weights, vectors, overrides):
+    for ti, tj, has_fk, best_pair in admission.pairs:
         key = (ti.name, tj.name)
         if key in overrides:
             c = overrides[key]
@@ -432,7 +509,9 @@ def build_schema_graph(
             connect=connect, semantic=sem, statistical=stat, total=total,
             has_fk=has_fk, best_column_pair=best_pair,
         )
-    return SchemaGraph(tuple(sorted(schema.table_names)), edges)
+    graph = SchemaGraph(tuple(sorted(schema.table_names)), edges)
+    admission.graph = (graph_key, graph)
+    return graph
 
 
 def graph_document(graph: SchemaGraph) -> str:

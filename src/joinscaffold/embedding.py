@@ -21,7 +21,8 @@ import re
 from typing import Protocol, Sequence
 
 import numpy as np
-import requests
+
+from .httpjson import POST_ERRORS, post_json
 
 DEFAULT_DIMENSION = 64
 
@@ -113,20 +114,13 @@ class HttpEmbeddingProvider:
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         missing = [t for t in texts if t not in self._cache]
         if missing:
-            headers = {}
-            if self.api_key:
-                headers["Authorization"] = f"Bearer {self.api_key}"
             try:
-                resp = requests.post(
-                    self.endpoint,
-                    json={"texts": list(missing)},
-                    headers=headers,
-                    timeout=self.timeout,
+                reply = post_json(
+                    self.endpoint, {"texts": list(missing)}, self.api_key, self.timeout
                 )
-                resp.raise_for_status()
-                vectors = resp.json()["vectors"]
+                vectors = reply["vectors"]
                 count = len(vectors)
-            except (requests.RequestException, KeyError, TypeError, ValueError) as exc:
+            except (*POST_ERRORS, KeyError, TypeError) as exc:
                 raise EmbeddingError(f"embedding service failure: {exc}") from exc
             if count != len(missing):
                 raise EmbeddingError(

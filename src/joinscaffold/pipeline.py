@@ -1,11 +1,14 @@
 """End-to-end planning loop: decompose, solve, prompt, generate, validate.
 
-One run performs Stage-1 decomposition and the schema-graph build once, then
-up to ``max_iterations`` (default 3) rounds of: dropping the accumulated edge
-exclusions from that graph, Steiner solve, prompt assembly, SQL generation
-through a pluggable client, and three-level validation. A level-1 failure
-returns immediately with the ``syntax_error`` outcome; level-2/3 failures feed
-the re-planning rules; three failed rounds yield ``max_iterations``.
+One run performs Stage-1 decomposition once and takes the schema graph, which
+is built once per schema, statistics, weights and provider and reused by
+every later run while those stay the same (see :mod:`joinscaffold.costs`).
+Then come up to ``max_iterations`` (default 3) rounds of: dropping the
+accumulated edge exclusions from that graph, Steiner solve, prompt assembly,
+SQL generation through a pluggable client, and three-level validation. A
+level-1 failure returns immediately with the ``syntax_error`` outcome;
+level-2/3 failures feed the re-planning rules; three failed rounds yield
+``max_iterations``.
 
 Re-planning rules by violation code:
 
@@ -21,6 +24,7 @@ Re-planning rules by violation code:
 
 from __future__ import annotations
 
+import functools
 import os
 import string
 import time
@@ -28,8 +32,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Protocol, Sequence, Union
-
-import requests
 
 from .canonical import canonical_json
 from .costs import (
@@ -46,6 +48,7 @@ from .decompose import (
     find_containing_tables,
 )
 from .embedding import EmbeddingProvider, default_provider
+from .httpjson import POST_ERRORS, post_json
 from .profiling import StatsProfile, profile_statistics
 from .schema import Schema
 from .sqlcheck import ValidationReport, validate_all
@@ -160,25 +163,21 @@ class HttpGenerator:
             ],
             "temperature": self.config.temperature,
         }
-        headers = {}
-        if self.config.generator_api_key:
-            headers["Authorization"] = f"Bearer {self.config.generator_api_key}"
         delay = self.config.backoff
         last_error: Exception | None = None
         for attempt in range(self.config.retries):
             try:
-                resp = requests.post(
+                reply = post_json(
                     self.config.generator_endpoint,
-                    json=payload,
-                    headers=headers,
-                    timeout=self.config.timeout,
+                    payload,
+                    self.config.generator_api_key,
+                    self.config.timeout,
                 )
-                resp.raise_for_status()
-                content = resp.json()["choices"][0]["message"]["content"]
+                content = reply["choices"][0]["message"]["content"]
                 if not isinstance(content, str):
                     raise TypeError(f"message content is {type(content).__name__}, not a string")
                 return content
-            except (requests.RequestException, LookupError, TypeError, ValueError) as exc:
+            except (*POST_ERRORS, LookupError, TypeError) as exc:
                 last_error = exc
                 if attempt + 1 < self.config.retries:
                     time.sleep(delay)
@@ -212,11 +211,18 @@ class PromptBundle:
 
 
 def _load_template(name: str, template_dir: Optional[Path]) -> string.Template:
+    """A user ``template_dir`` is read on every call, so edits to it show up."""
     if template_dir is not None:
         path = Path(template_dir) / f"{name}.txt"
         if not path.is_file():
             raise PipelineError(f"missing template file: {path}")
         return string.Template(path.read_text(encoding="utf-8"))
+    return _package_template(name)
+
+
+@functools.cache
+def _package_template(name: str) -> string.Template:
+    """A template shipped with the package, read once per process."""
     ref = resources.files("joinscaffold").joinpath(f"templates/{name}.txt")
     try:
         return string.Template(ref.read_text(encoding="utf-8"))
@@ -367,7 +373,7 @@ def run_pipeline(
     stats: Optional[StatsProfile] = None,
     provider: Optional[EmbeddingProvider] = None,
 ) -> PipelineResult:
-    """Decompose and build the graph once, then run the bounded re-planning loop."""
+    """Decompose, take the schema's graph, then run the bounded re-planning loop."""
     if db_path is None:
         raise PipelineError("a database path is required for validation")
     provider = provider or default_provider()

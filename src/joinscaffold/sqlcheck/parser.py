@@ -30,6 +30,15 @@ AGGREGATE_FUNCTIONS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 # exhaust the interpreter's stack, so it is reported as unsupported.
 MAX_NESTING = 50
 
+# Deepest expression tree (each operator, operand, argument and CASE branch is
+# one level below its parent) one top-level expression may form. Operator
+# chains such as ``a + a + ... + a`` are built by loops, not recursion, so
+# MAX_NESTING does not bound them; but the dataclass ``repr`` and ``==`` of
+# the tree recurse once per level and exhaust the default interpreter stack
+# at 270-330 levels (nested CASE costs the most), so a deeper expression is
+# reported as unsupported.
+MAX_EXPRESSION_DEPTH = 150
+
 
 class ParseError(Exception):
     """Parse failure; ``kind`` is ``"syntax"`` or ``"unsupported"``."""
@@ -404,7 +413,15 @@ class _Parser:
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self.descend(self.parse_or)
+        if self.depth:
+            return self.descend(self.parse_or)
+        start = self.peek().offset
+        expr = self.descend(self.parse_or)
+        if expression_depth(expr) > MAX_EXPRESSION_DEPTH:
+            raise self.unsupported(
+                f"expression deeper than {MAX_EXPRESSION_DEPTH} levels", start
+            )
+        return expr
 
     def parse_or(self) -> Expr:
         left = self.parse_and()
@@ -597,34 +614,48 @@ def parse_sql(text: str) -> Query:
 # ---------------------------------------------------------------------------
 
 
+def _children(node) -> tuple:
+    """The direct sub-expressions of an AST node, in source order."""
+    if isinstance(node, BinaryOp):
+        return (node.left, node.right)
+    if isinstance(node, FuncCall):
+        return node.args
+    if isinstance(node, CaseExpr):
+        branches = tuple(part for when in node.whens for part in when)
+        return branches if node.else_ is None else (*branches, node.else_)
+    if isinstance(node, BetweenOp):
+        return (node.expr, node.low, node.high)
+    if isinstance(node, InOp):
+        return (node.expr, *node.items)
+    if isinstance(node, LikeOp):
+        return (node.expr, node.pattern)
+    if isinstance(node, UnaryOp):
+        return (node.operand,)
+    if isinstance(node, (IsNull, CastExpr)):
+        return (node.expr,)
+    return ()
+
+
 def walk(node) -> list:
     """All AST nodes under (and including) ``node``, pre-order."""
-    out = [node]
-    if isinstance(node, BinaryOp):
-        out += walk(node.left) + walk(node.right)
-    elif isinstance(node, UnaryOp):
-        out += walk(node.operand)
-    elif isinstance(node, FuncCall):
-        for a in node.args:
-            out += walk(a)
-    elif isinstance(node, CaseExpr):
-        for cond, result in node.whens:
-            out += walk(cond) + walk(result)
-        if node.else_ is not None:
-            out += walk(node.else_)
-    elif isinstance(node, BetweenOp):
-        out += walk(node.expr) + walk(node.low) + walk(node.high)
-    elif isinstance(node, IsNull):
-        out += walk(node.expr)
-    elif isinstance(node, InOp):
-        out += walk(node.expr)
-        for i in node.items:
-            out += walk(i)
-    elif isinstance(node, LikeOp):
-        out += walk(node.expr) + walk(node.pattern)
-    elif isinstance(node, CastExpr):
-        out += walk(node.expr)
+    out = []
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        out.append(current)
+        stack.extend(reversed(_children(current)))
     return out
+
+
+def expression_depth(node) -> int:
+    """Nodes on the longest path from ``node`` down to a leaf."""
+    deepest = 0
+    stack = [(node, 1)]
+    while stack:
+        current, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in _children(current))
+    return deepest
 
 
 def columns_in(node) -> list[ColumnRef]:

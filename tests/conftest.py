@@ -12,6 +12,15 @@ import golden  # noqa: E402
 from joinscaffold.schema import load_schema_from_document  # noqa: E402
 
 
+@pytest.fixture(autouse=True)
+def _empty_graph_memo(monkeypatch):
+    """Every test starts with an empty admission and schema-graph memo, so no
+    test is handed a graph another test built."""
+    from joinscaffold import costs
+
+    monkeypatch.setattr(costs, "_memo", None)
+
+
 @pytest.fixture(scope="session")
 def analytics_schema():
     return load_schema_from_document(golden.ANALYTICS_SCHEMA_DOC)

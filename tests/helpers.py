@@ -7,7 +7,9 @@ import importlib.util
 import json
 import math
 import threading
+import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -88,20 +90,40 @@ def admitted_join_columns(schema, graph) -> list[tuple[str, str, str, str]]:
     return list(dict.fromkeys(keys))
 
 
+@dataclass(frozen=True)
+class Reply:
+    """A canned ``json_server`` reply with its own status or a delay."""
+
+    body: object = None
+    status: int = 200
+    delay: float = 0.0
+
+
 @contextmanager
-def json_server(*bodies):
+def json_server(*bodies, received=None):
     """Loopback HTTP server answering the n-th POST with ``bodies[n]`` as JSON
-    (status 200; the last body repeats). Yields the endpoint URL."""
+    (status 200 unless the body is a ``Reply``; the last body repeats). Yields
+    the endpoint URL. Each request's (headers, decoded body) is appended to
+    ``received`` when a list is given."""
     answers = list(bodies)
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
-            self.rfile.read(int(self.headers["Content-Length"]))
-            body = json.dumps(answers.pop(0) if len(answers) > 1 else answers[0]).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.end_headers()
-            self.wfile.write(body)
+            request = self.rfile.read(int(self.headers["Content-Length"]))
+            if received is not None:
+                received.append((dict(self.headers), json.loads(request)))
+            answer = answers.pop(0) if len(answers) > 1 else answers[0]
+            if not isinstance(answer, Reply):
+                answer = Reply(answer)
+            time.sleep(answer.delay)
+            body = json.dumps(answer.body).encode()
+            try:
+                self.send_response(answer.status)
+                self.send_header("Content-Type", "application/json")
+                self.end_headers()
+                self.wfile.write(body)
+            except OSError:
+                pass  # the client timed out and hung up
 
         def log_message(self, *args):
             pass

@@ -231,6 +231,25 @@ def test_validate_failing_exits_2(capsys, analytics_schema_file, analytics_db):
     assert doc["level2"] is False
 
 
+@pytest.mark.parametrize("terms, group_by", [(900, True), (3000, False)])
+def test_validate_long_operator_chain_exits_with_a_report(
+    capsys, analytics_schema_file, analytics_db, terms, group_by
+):
+    sql = "SELECT date, " + " + ".join(["session_id"] * terms) + " FROM ga_sessions"
+    code, out, _err = run_cli(
+        capsys,
+        "validate", analytics_schema_file,
+        "--sql", sql + (" GROUP BY date" if group_by else ""),
+        "--db", analytics_db,
+        "--terminals", "ga_sessions",
+    )
+    doc = json.loads(out)
+    assert code == (0 if doc["ok"] else 2)
+    assert doc["level2"] is None  # execution only, or failed in SQLite
+    if group_by:  # runs in SQLite, too deep for the parser
+        assert code == 0 and "execution-only" in doc["notes"][0]
+
+
 def test_run_with_stub(capsys, analytics_schema_file, analytics_db, tmp_path):
     stub_file = tmp_path / "stub.json"
     stub_file.write_text(

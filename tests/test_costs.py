@@ -524,3 +524,156 @@ def test_semantic_cost_tells_apart_tables_that_share_a_name():
         _reference_mean_embedding(ta, provider), _reference_mean_embedding(tb, provider)
     )
     assert semantic_cost(ta, tb, provider) == expected > 0.0
+
+
+# -- the admission and graph memo -------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.<name>``; returns a one-item list holding the call count."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _cold_document(*args, **kwargs):
+    """``graph_document`` of a build that starts from an empty memo."""
+    costs._memo = None
+    return graph_document(build_schema_graph(*args, **kwargs))
+
+
+def test_memoized_graph_is_returned_again_without_rescoring(company_schema, monkeypatch):
+    cold = build_schema_graph(company_schema)
+    scored = _count_calls(monkeypatch, costs, "table_similarity")
+    costed = _count_calls(monkeypatch, costs, "connection_cost")
+    assert build_schema_graph(company_schema) is cold
+    assert candidate_join_pairs(company_schema) == admitted_join_columns(company_schema, cold)
+    # an equal schema that is another object reuses the graph too
+    copy = Schema(tuple(company_schema.tables), tuple(company_schema.foreign_keys))
+    assert build_schema_graph(copy) is cold
+    assert scored[0] == 0 and costed[0] == 0
+    assert graph_document(cold) == _cold_document(company_schema)
+
+
+def _stats_for(schema, selectivity):
+    """Statistics for one column pair of the FK edge assignments -- employees."""
+    (fk,) = schema.fk_between("assignments", "employees")
+    return StatsProfile(10, pairs={
+        (fk.from_table, fk.from_column, fk.to_table, fk.to_column): PairStats(selectivity, 0.5)
+    })
+
+
+@pytest.mark.parametrize(
+    "change, rewalks",
+    [
+        ("weights", True),
+        ("provider", True),
+        ("override_key", True),
+        ("stats", False),
+        ("override_value", False),
+    ],
+)
+def test_memo_rebuilds_when_an_input_changes(company_schema, monkeypatch, change, rewalks):
+    # The admission walk is keyed by schema, weights, provider and override
+    # pairs; the graph also by the statistics and the override costs.
+    provider = TrigramEmbeddingProvider()
+    names = sorted(company_schema.table_names)
+    pinned = {(names[0], names[-1]): 0.25}
+    base = dict(
+        stats=_stats_for(company_schema, 0.9), weights=DEFAULT_WEIGHTS,
+        provider=provider, cost_overrides=pinned,
+    )
+    changed = dict(base)
+    if change == "weights":
+        changed["weights"] = CostWeights(tau=0.6)
+    elif change == "provider":
+        # another provider object, which embeds one table name differently
+        changed["provider"] = FixedProvider({"assignments": np.array([1.0])})
+    elif change == "override_key":
+        changed["cost_overrides"] = {**pinned, (names[0], names[1]): 0.25}
+    elif change == "stats":
+        changed["stats"] = _stats_for(company_schema, 0.1)
+    else:
+        changed["cost_overrides"] = {(names[0], names[-1]): 0.5}
+    first = build_schema_graph(company_schema, **base)
+    scored = _count_calls(monkeypatch, costs, "table_similarity")
+    second = build_schema_graph(company_schema, **changed)
+    assert second is not first
+    assert (scored[0] > 0) == rewalks
+    assert graph_document(second) != graph_document(first)
+    assert graph_document(second) == _cold_document(company_schema, **changed)
+
+
+def test_override_costs_that_export_differently_do_not_share_a_graph(analytics_schema):
+    as_float = build_schema_graph(analytics_schema, cost_overrides={("hits", "totals"): 1.0})
+    as_int = build_schema_graph(analytics_schema, cost_overrides={("hits", "totals"): 1})
+    assert as_int is not as_float
+    assert graph_document(as_int) == _cold_document(
+        analytics_schema, cost_overrides={("hits", "totals"): 1}
+    )
+
+
+def test_profiling_then_build_walks_admission_once(company_schema, company_db, monkeypatch):
+    from joinscaffold.profiling import profile_statistics
+
+    walks = _count_calls(monkeypatch, costs, "_admitted_pairs")
+    stats = profile_statistics(company_schema, company_db)  # pairs=None derives them
+    graph = build_schema_graph(company_schema, stats)
+    assert walks[0] == 1
+    assert graph_document(graph) == _cold_document(company_schema, stats)
+
+
+def test_memoized_graph_edges_are_read_only(analytics_schema):
+    graph = build_schema_graph(analytics_schema)
+    key, cost = next(iter(graph.edges.items()))
+    with pytest.raises(TypeError):
+        graph.edges[key] = cost
+    with pytest.raises(TypeError):
+        del graph.edges[key]
+    assert build_schema_graph(analytics_schema).edges[key] is cost
+
+
+def test_without_returns_the_same_graph_when_no_pair_is_an_edge(analytics_schema):
+    graph = build_schema_graph(analytics_schema)
+    assert graph.without(()) is graph
+    assert graph.without([("ga_sessions", "no_such_table")]) is graph
+    some_edge = next(iter(graph.edges))
+    assert graph.without([some_edge]) is not graph
+
+
+def test_threads_sharing_the_memo_get_the_graph_of_their_own_inputs(company_schema):
+    import sys
+    import threading
+
+    inputs = [dict(weights=CostWeights(tau=tau)) for tau in (0.5, 0.6, 0.75, 0.9)]
+    expected = [_cold_document(company_schema, **kw) for kw in inputs]
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(40):
+                k = (i + offset) % len(inputs)
+                got = graph_document(build_schema_graph(company_schema, **inputs[k]))
+                if got != expected[k]:
+                    errors.append((offset, i))
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from helpers import json_server
+from helpers import Reply, json_server
 
 from joinscaffold.embedding import (
     EmbeddingError,
@@ -154,3 +154,30 @@ def test_cosine_with_cached_norms_is_bit_identical():
         assert cosine(a, b, na, nb) == cosine(a, b)
         assert cosine01(a, b, na, nb) == cosine01(a, b)
     assert cosine(np.zeros(3), np.ones(3), 0.0, vector_norm(np.ones(3))) == 0.0
+
+
+def test_http_provider_server_error_then_success():
+    good = {"vectors": [[1.0, 2.0]]}
+    with json_server(Reply({"error": "busy"}, status=503), good) as url:
+        provider = HttpEmbeddingProvider(endpoint=url, timeout=5.0)
+        with pytest.raises(EmbeddingError, match="503"):
+            provider.embed("abc")
+        assert provider.dimension == 0  # nothing cached from the failed call
+        assert np.array_equal(provider.embed("abc"), np.array([1.0, 2.0]))
+
+
+def test_http_provider_timeout_is_embedding_error():
+    with json_server(Reply({"vectors": [[1.0]]}, delay=0.5)) as url:
+        provider = HttpEmbeddingProvider(endpoint=url, timeout=0.1)
+        with pytest.raises(EmbeddingError, match="timed out"):
+            provider.embed("abc")
+
+
+def test_http_provider_sends_the_api_key_and_texts():
+    received = []
+    with json_server({"vectors": [[1.0], [2.0]]}, received=received) as url:
+        provider = HttpEmbeddingProvider(endpoint=url, api_key="k2", timeout=5.0)
+        provider.embed_many(["a", "b"])
+    ((headers, body),) = received
+    assert headers["Authorization"] == "Bearer k2"
+    assert body == {"texts": ["a", "b"]}

@@ -1,14 +1,16 @@
 import json
+import shutil
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from importlib import resources
 
 import pytest
 
 import golden
-from helpers import json_server
+from helpers import Reply, json_server
 
-from joinscaffold import pipeline
-from joinscaffold.costs import CostWeights, build_schema_graph
+from joinscaffold import costs, pipeline
+from joinscaffold.costs import CostWeights, build_schema_graph, graph_document
 from joinscaffold.decompose import (
     DecompositionResult,
     TerminalSet,
@@ -25,6 +27,7 @@ from joinscaffold.pipeline import (
     run_pipeline,
     update_terminals,
 )
+from joinscaffold.profiling import profile_statistics
 from joinscaffold.sqlcheck import ValidationReport, Violation
 from joinscaffold.steiner import solve_steiner
 
@@ -73,6 +76,41 @@ def test_prompt_missing_template_file(tmp_path, analytics_schema, analytics_scaf
         build_prompt(
             analytics_scaffold, analytics_schema, golden.ANALYTICS_QUESTION, config
         )
+
+
+def test_package_templates_are_read_once_per_process(
+    analytics_schema, analytics_scaffold, monkeypatch
+):
+    pipeline._package_template.cache_clear()
+    reads = []
+    files = resources.files
+
+    def counting_files(package):
+        reads.append(package)
+        return files(package)
+
+    monkeypatch.setattr(resources, "files", counting_files)
+    first = build_prompt(analytics_scaffold, analytics_schema, golden.ANALYTICS_QUESTION)
+    second = build_prompt(analytics_scaffold, analytics_schema, golden.ANALYTICS_QUESTION)
+    assert len(reads) == len(pipeline.TEMPLATE_NAMES)
+    assert first == second
+
+
+def test_user_template_dir_is_read_on_every_call(
+    tmp_path, analytics_schema, analytics_scaffold
+):
+    for name in pipeline.TEMPLATE_NAMES:
+        source = resources.files("joinscaffold").joinpath(f"templates/{name}.txt")
+        (tmp_path / f"{name}.txt").write_text(source.read_text(encoding="utf-8"))
+    config = PipelineConfig(template_dir=tmp_path)
+    question = golden.ANALYTICS_QUESTION
+    before = build_prompt(analytics_scaffold, analytics_schema, question, config)
+    (tmp_path / "role_play.txt").write_text("You are an edited role.\n")
+    after = build_prompt(analytics_scaffold, analytics_schema, question, config)
+    assert before.role_play != after.role_play == "You are an edited role.\n"
+    shutil.rmtree(tmp_path)
+    with pytest.raises(PipelineError, match="missing template"):
+        build_prompt(analytics_scaffold, analytics_schema, question, config)
 
 
 def test_prompt_includes_feedback_sections(analytics_schema, analytics_scaffold):
@@ -288,6 +326,34 @@ def test_run_irrelevant_join_excludes_edge_next_iteration(
     assert result.iterations_used == 2
     assert result.trace[0].report.by_code("IRRELEVANT_JOIN")
     assert ("hits", "totals") in result.trace[1].excluded_edges
+
+
+def test_second_question_on_a_schema_reuses_its_graph(
+    analytics_schema, analytics_db, monkeypatch
+):
+    client = StubGenerator(default=golden.ANALYTICS_GOLDEN_SQL)
+    first = run_pipeline(
+        golden.ANALYTICS_QUESTION, analytics_schema, analytics_db, PipelineConfig(), client
+    )
+    builds = _record_calls(monkeypatch, "build_schema_graph")
+    calls = []
+    for name in ("table_similarity", "connection_cost", "semantic_cost"):
+        original = getattr(costs, name)
+        monkeypatch.setattr(
+            costs, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
+        )
+    second = run_pipeline(
+        golden.ANALYTICS_QUESTION, analytics_schema, analytics_db, PipelineConfig(), client
+    )
+    assert calls == []
+    assert pipeline_document(second) == pipeline_document(first)
+    # the reused graph is the one a build from an empty memo gives
+    monkeypatch.setattr(costs, "_memo", None)
+    pairs = costs.candidate_join_pairs(analytics_schema)
+    stats = profile_statistics(analytics_schema, analytics_db, 10_000, pairs)
+    assert graph_document(builds[0]) == graph_document(
+        costs.build_schema_graph(analytics_schema, stats)
+    )
 
 
 def _record_calls(monkeypatch, name):
@@ -521,6 +587,42 @@ def test_http_generator_retries_after_malformed_reply():
 def test_pipeline_config_rejects_counts_below_one(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
         PipelineConfig(**{field: value})
+
+
+def test_http_generator_times_out_into_generator_error():
+    good = {"choices": [{"message": {"content": "SELECT 1"}}]}
+    with json_server(Reply(good, delay=0.5)) as url:
+        client = HttpGenerator(
+            PipelineConfig(generator_endpoint=url, retries=2, backoff=0.01, timeout=0.1)
+        )
+        with pytest.raises(GeneratorError, match="after 2 attempts.*timed out"):
+            client.generate("p", "q")
+
+
+def test_http_generator_sends_the_api_key_and_payload():
+    good = {"choices": [{"message": {"content": "SELECT 1"}}]}
+    received = []
+    with json_server(good, received=received) as url:
+        client = HttpGenerator(PipelineConfig(
+            generator_endpoint=url, generator_model="m", generator_api_key="k1"
+        ))
+        assert client.generate("the prompt", "the question") == "SELECT 1"
+    ((headers, body),) = received
+    assert headers["Authorization"] == "Bearer k1"
+    assert headers["Content-Type"] == "application/json"
+    assert body["model"] == "m"
+    assert body["messages"] == [
+        {"role": "system", "content": "the prompt"},
+        {"role": "user", "content": "the question"},
+    ]
+
+
+def test_http_generator_rejects_a_non_http_endpoint(tmp_path):
+    client = HttpGenerator(PipelineConfig(
+        generator_endpoint=(tmp_path / "reply.json").as_uri(), retries=1
+    ))
+    with pytest.raises(GeneratorError, match="not an http"):
+        client.generate("p", "q")
 
 
 def test_http_generator_requires_endpoint(monkeypatch):

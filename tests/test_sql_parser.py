@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from joinscaffold.sqlcheck.parser import (
     AGGREGATE_FUNCTIONS,
+    MAX_EXPRESSION_DEPTH,
     MAX_NESTING,
     _KEYWORDS,
     BetweenOp,
@@ -22,7 +23,9 @@ from joinscaffold.sqlcheck.parser import (
     UnaryOp,
     aggregates_in,
     columns_in,
+    expression_depth,
     parse_sql,
+    walk,
 )
 
 
@@ -203,6 +206,23 @@ _NESTING = st.tuples(
 )
 
 
+# Left-deep operator chains, which the parser builds in loops, up to far past
+# MAX_EXPRESSION_DEPTH.
+_CHAIN = st.tuples(
+    st.sampled_from(["+", "-", "*", "/", "||", "AND", "OR", "="]),
+    st.integers(1, 3000),
+)
+
+
+@st.composite
+def _chained_sql(draw):
+    op, terms = draw(_CHAIN)
+    operand = draw(st.sampled_from(["a", "1", "t.a", "f(a)", "(a)", "'x'"]))
+    head = draw(st.sampled_from(["SELECT ", "SELECT a FROM t WHERE ", "SELECT a FROM t GROUP BY "]))
+    tail = "" if "FROM" in head else draw(st.sampled_from([" FROM t", " FROM t GROUP BY a"]))
+    return head + f" {op} ".join([operand] * terms) + tail
+
+
 @st.composite
 def _hostile_sql(draw):
     opener, depth = draw(_NESTING)
@@ -215,13 +235,18 @@ def _hostile_sql(draw):
 
 
 @settings(max_examples=400, deadline=timedelta(seconds=2))
-@given(st.one_of(_hostile_sql(), st.text(max_size=120)))
+@given(st.one_of(_hostile_sql(), _chained_sql(), st.text(max_size=120)))
 def test_parse_sql_raises_only_parse_error(text):
-    # Any input either parses or raises ParseError, within the deadline.
+    # Any input either parses or raises ParseError, within the deadline; what
+    # parses can be walked, printed and compared without exhausting the stack.
     try:
-        parse_sql(text)
+        ast = parse_sql(text)
     except ParseError as exc:
         assert exc.kind in ("syntax", "unsupported")
+        return
+    assert repr(ast) and ast == parse_sql(text)
+    for item in ast.select_items:
+        assert walk(item.expr)[0] is item.expr
 
 
 def test_nesting_up_to_the_limit_parses_and_deeper_is_unsupported():
@@ -234,3 +259,43 @@ def test_nesting_up_to_the_limit_parses_and_deeper_is_unsupported():
         parse_sql(nested(MAX_NESTING))
     assert exc.value.kind == "unsupported"
     assert "nested deeper" in exc.value.message
+
+
+def test_operator_chain_up_to_the_depth_bound_parses_and_deeper_is_unsupported():
+    def chain(terms):
+        return "SELECT " + " + ".join(["a"] * terms) + " FROM t"
+
+    # n terms make a tree n nodes deep: n - 1 operators and the first operand
+    expr = parse_sql(chain(MAX_EXPRESSION_DEPTH)).select_items[0].expr
+    assert expression_depth(expr) == MAX_EXPRESSION_DEPTH
+    assert len(columns_in(expr)) == MAX_EXPRESSION_DEPTH
+    for text in (chain(MAX_EXPRESSION_DEPTH + 1), chain(3000)):
+        with pytest.raises(ParseError) as exc:
+            parse_sql(text)
+        assert exc.value.kind == "unsupported"
+        assert "deeper than" in exc.value.message
+
+
+def test_depth_bound_counts_every_level_of_one_expression():
+    # nesting and chains add up: 40 CASE levels hold MAX - 40 chained terms
+    def nested(terms):
+        return ("SELECT " + "CASE WHEN 1 THEN " * 40 + " * ".join(["a"] * terms)
+                + " END" * 40 + " FROM t")
+
+    assert expression_depth(
+        parse_sql(nested(MAX_EXPRESSION_DEPTH - 40)).select_items[0].expr
+    ) == MAX_EXPRESSION_DEPTH
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_sql(nested(MAX_EXPRESSION_DEPTH - 39))
+    # each top-level expression has its own bound
+    wide = ", ".join([" + ".join(["a"] * 100)] * 5)
+    assert len(parse_sql(f"SELECT {wide} FROM t").select_items) == 5
+
+
+def test_walk_does_not_recurse():
+    expr = ColumnRef(None, "a")
+    for _ in range(5000):
+        expr = BinaryOp("+", expr, Literal("number", 1))
+    nodes = walk(expr)
+    assert len(nodes) == 10_001 and nodes[0] is expr
+    assert expression_depth(expr) == 5001

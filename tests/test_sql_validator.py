@@ -203,6 +203,21 @@ def test_unsupported_construct_fallback(company_db, company_schema):
     assert report.ok  # execution-only fallback passes on level-1 success
 
 
+def test_long_operator_chains_end_in_a_report(company_db, company_schema):
+    # A 900-term chain runs in SQLite but is deeper than the parser bound, so
+    # validation falls back to execution only (the GROUP BY check used to
+    # exhaust the stack on it); SQLite itself rejects 3,000 terms as too deep.
+    grouped = ("SELECT dept_id, " + " + ".join(["salary"] * 900)
+               + " FROM employees GROUP BY dept_id")
+    report = validate_all(grouped, company_db, corpus.TERMINALS, None, (), company_schema)
+    assert report.level1 is True and report.level2 is None and report.ok
+    assert "execution-only" in report.notes[0] and "deeper than" in report.notes[0]
+    longest = "SELECT " + " + ".join(["salary"] * 3000) + " FROM employees"
+    report = validate_all(longest, company_db, corpus.TERMINALS, None, (), company_schema)
+    assert report.level1 is False or report.level2 is None
+    assert report_document(report)
+
+
 def test_report_reproducible(company_db, company_schema):
     sql = "SELECT dept_id, salary, COUNT(*) FROM employees GROUP BY dept_id"
     a = validate_all(sql, company_db, corpus.TERMINALS, corpus.SCAFFOLD, (), company_schema)
