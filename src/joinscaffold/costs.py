@@ -19,10 +19,11 @@ with the cosine clamped to [0, 1].
 
 Edge admission screens before it scores. One matrix product of the unit
 column-name embeddings (a row block per table) approximates every column-pair
-similarity, and a table pair with no FK and no cost override whose
-approximate best falls below ``tau - SCREEN_MARGIN`` is skipped. Every other
-pair is rescored exactly by ``table_similarity``, column pair by column pair;
-only exact values decide admission or reach an exported cost. Within one
+similarity, and a table pair with no FK whose approximate best falls below
+``tau - SCREEN_MARGIN`` is skipped. Every other pair is rescored exactly by
+``table_similarity``, column pair by column pair; only exact values decide
+admission or reach an exported cost. Pairs with a cost override are added
+to the walk's pairs by the graph build. Within one
 build each name is embedded and normed once, each table's mean embedding is
 computed once, and the connection cost reuses the column-pair cosines its
 pair's rescoring computed.
@@ -30,8 +31,8 @@ pair's rescoring computed.
 Neither the admission walk nor the graph depends on a question, so both are
 memoized in one module-level slot. The walk (the name vectors and the list
 of admitted pairs) is keyed by the schema and the weights (compared with
-``==``), the embedding provider (by identity) and the set of cost-override
-pairs; ``candidate_join_pairs`` and ``build_schema_graph`` share it. The
+``==``) and the embedding provider (by identity); ``candidate_join_pairs``
+and ``build_schema_graph`` share it, with or without cost overrides. The
 slot also keeps the last graph costed from that walk, keyed further by the
 statistics (``==``) and the override costs. Asking many questions of one
 schema therefore walks and costs once; a different key replaces the slot.
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Container, Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -369,17 +370,16 @@ def _admitted_pairs(
     schema: Schema,
     weights: CostWeights,
     vectors: _NameVectors,
-    overrides: Container[EdgeKey] = (),
 ) -> Iterator[tuple[TableDef, TableDef, bool, tuple[str, str]]]:
     """The edge-admission rule, applied to table pairs in sorted order.
 
-    A pair is admitted iff a foreign key links it, its best column-pair
-    similarity reaches ``tau``, or it is in ``overrides``. Yields both tables,
-    the FK flag and the best column pair of each admitted pair.
+    A pair is admitted iff a foreign key links it or its best column-pair
+    similarity reaches ``tau``. Yields both tables, the FK flag and the best
+    column pair of each admitted pair.
 
-    The similarity screen skips each pair with no FK and no override whose
-    screened similarity is below ``tau - SCREEN_MARGIN``; every other pair
-    is rescored exactly by ``table_similarity``, which alone decides.
+    The similarity screen skips each pair with no FK whose screened
+    similarity is below ``tau - SCREEN_MARGIN``; every other pair is
+    rescored exactly by ``table_similarity``, which alone decides.
     """
     names = sorted(schema.table_names)
     if len(names) < 2:
@@ -392,11 +392,10 @@ def _admitted_pairs(
         for j in range(i + 1, len(names)):
             b, tj = names[j], tables[j]
             has_fk = (a, b) in fk_pairs
-            override = (a, b) in overrides
-            if not (has_fk or override) and screened[i, j] < floor:
+            if not has_fk and screened[i, j] < floor:
                 continue  # cannot reach tau
             s, best_pair = table_similarity(ti, tj, weights, vectors)
-            if has_fk or s >= weights.tau or override:
+            if has_fk or s >= weights.tau:
                 yield ti, tj, has_fk, best_pair
 
 
@@ -408,13 +407,12 @@ class _Admission:
         schema: Schema,
         weights: CostWeights,
         provider: EmbeddingProvider,
-        overrides: frozenset[EdgeKey],
         vectors: _NameVectors,
     ) -> None:
-        self.key = (schema, weights, overrides)
+        self.key = (schema, weights)
         self.provider = provider
         self.vectors = vectors
-        self.pairs = list(_admitted_pairs(schema, weights, vectors, overrides))
+        self.pairs = list(_admitted_pairs(schema, weights, vectors))
         # (statistics, override costs) -> the graph costed from ``pairs``
         self.graph: Optional[tuple[tuple, SchemaGraph]] = None
 
@@ -429,22 +427,19 @@ def _admission(
     schema: Schema,
     weights: CostWeights,
     provider: Optional[EmbeddingProvider],
-    overrides: frozenset[EdgeKey] = frozenset(),
 ) -> _Admission:
     """The admission walk for this key, from the memo slot when it matches.
 
-    The key is the schema and the weights (``==``), the underlying provider
-    (identity; a ``_NameVectors`` stands for the provider it wraps) and the
-    override pairs. A miss walks again and replaces the slot.
+    The key is the schema and the weights (``==``) and the underlying
+    provider (identity; a ``_NameVectors`` stands for the provider it wraps).
+    A miss walks again and replaces the slot.
     """
     global _memo
     vectors = provider if isinstance(provider, _NameVectors) else None
     base = vectors.provider if vectors is not None else provider or default_provider()
     memo = _memo
-    if memo is None or memo.provider is not base or memo.key != (schema, weights, overrides):
-        memo = _memo = _Admission(
-            schema, weights, base, overrides, vectors or _NameVectors(base)
-        )
+    if memo is None or memo.provider is not base or memo.key != (schema, weights):
+        memo = _memo = _Admission(schema, weights, base, vectors or _NameVectors(base))
     return memo
 
 
@@ -484,15 +479,23 @@ def build_schema_graph(
     and the loop drops excluded edges with ``SchemaGraph.without``.
     """
     overrides = {edge_key(a, b): c for (a, b), c in (cost_overrides or {}).items()}
-    admission = _admission(schema, weights, provider, frozenset(overrides))
+    admission = _admission(schema, weights, provider)
     # Override costs compare by repr, so 1 and 1.0 (or 0.0 and -0.0), which
     # export differently, never share a graph.
     graph_key = (stats, {k: repr(c) for k, c in overrides.items()})
     if admission.graph is not None and admission.graph[0] == graph_key:
         return admission.graph[1]
     vectors = admission.vectors
+    # Overridden pairs the walk did not admit (so no FK links them) join the
+    # walk's pairs; one naming an unknown table, or a table twice, is ignored.
+    pairs = list(admission.pairs)
+    admitted = {(ti.name, tj.name) for ti, tj, _fk, _pair in pairs}
+    for a, b in overrides.keys() - admitted:
+        if a != b and schema.has_table(a) and schema.has_table(b):
+            ti, tj = schema.table(a), schema.table(b)
+            pairs.append((ti, tj, False, table_similarity(ti, tj, weights, vectors)[1]))
     edges: dict[EdgeKey, EdgeCost] = {}
-    for ti, tj, has_fk, best_pair in admission.pairs:
+    for ti, tj, has_fk, best_pair in sorted(pairs, key=lambda p: (p[0].name, p[1].name)):
         key = (ti.name, tj.name)
         if key in overrides:
             c = overrides[key]

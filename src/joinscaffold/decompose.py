@@ -12,6 +12,13 @@ attribute references, join-path completion over the FK-only graph, and
 constraint propagation (constraint-bearing entities bind the tables owning
 their matched columns; date literals with no matched target bind tables owning
 date/timestamp columns).
+
+A question phrase names a column through :func:`matching_names`: the columns
+whose name equals the phrase once both are lower-cased and stripped of every
+character that is not a letter or digit, or, when none does, every column whose
+name similarity to the phrase reaches the admission threshold ``tau`` (the
+phrase has no type, so the type term counts as a match). Validation and
+re-planning ask the same question through the same function.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 from .canonical import canonical_json
 from .costs import CostWeights, DEFAULT_WEIGHTS
-from .embedding import EmbeddingProvider, cosine01, default_provider
+from .embedding import WORD_BREAK, EmbeddingProvider, cosine01, default_provider, vector_norm
 from .schema import Schema
 
 ENTITY_KINDS = ("aggregation", "comparison", "range", "grouping", "temporal", "arithmetic")
@@ -54,6 +61,8 @@ class MathEntity:
     def __post_init__(self) -> None:
         if self.kind not in ENTITY_KINDS:
             raise ValueError(f"unknown entity kind {self.kind!r}")
+        if any(not t.strip() for t in self.target_attributes):
+            raise ValueError("target attributes must not be blank")
 
     def has_literals(self) -> bool:
         return bool(self.literals)
@@ -112,10 +121,6 @@ class DependencyGraph:
 
 _NUMBER = r"-?\d+(?:\.\d+)?"
 _QUOTED = r"'[^']*'|\"[^\"]*\""
-
-
-def _normalize_name(text: str) -> str:
-    return re.sub(r"[^a-z0-9]+", "", text.lower())
 
 
 def _parse_number(text: str):
@@ -372,23 +377,40 @@ def extract_entities(question: str) -> list[MathEntity]:
 # --------------------------------------------------------------------------
 
 
-def phrase_matches_name(
+def _name_key(text: str) -> str:
+    return WORD_BREAK.sub("", text.lower())
+
+
+def matching_names(
     phrase: str,
-    name: str,
+    names: Sequence[str],
     weights: CostWeights = DEFAULT_WEIGHTS,
     provider: Optional[EmbeddingProvider] = None,
-) -> bool:
-    """Normalized equality, else name-similarity at the admission threshold.
+) -> list[str]:
+    """The names, in their given order, that a question phrase refers to.
 
-    The phrase carries no type information, so the type term of the column
-    similarity counts as a match (wildcard).
+    Names equal to the phrase under ``_name_key`` (when the phrase's key is not
+    empty) decide alone. Failing those, every name whose column similarity
+    to the phrase reaches ``tau`` matches; the phrase carries no type
+    information, so the type term of that similarity counts as a match.
     """
-    if _normalize_name(phrase) and _normalize_name(phrase) == _normalize_name(name):
-        return True
+    key = _name_key(phrase)
+    if key:
+        exact = [n for n in names if _name_key(n) == key]
+        if exact:
+            return exact
+    if not names:
+        return []
     provider = provider or default_provider()
-    cos = cosine01(provider.embed(phrase), provider.embed(name))
-    sim = weights.sim_alpha * cos + (1.0 - weights.sim_alpha)
-    return sim >= weights.tau
+    vec = provider.embed(phrase)
+    norm = vector_norm(vec)
+    matched = []
+    for name in names:
+        other = provider.embed(name)
+        cos = cosine01(vec, other, norm, vector_norm(other))
+        if weights.sim_alpha * cos + (1.0 - weights.sim_alpha) >= weights.tau:
+            matched.append(name)
+    return matched
 
 
 @dataclass(frozen=True)
@@ -405,29 +427,21 @@ def find_containing_tables(
     provider: Optional[EmbeddingProvider] = None,
 ) -> AttributeMatches:
     """Owning tables for each attribute phrase; unmatched phrases are reported."""
-    provider = provider or default_provider()
+    owners: dict[str, list[tuple[str, str]]] = {}
+    for t in schema.tables:
+        for c in t.columns:
+            owners.setdefault(c.name, []).append((t.name, c.name))
+    names = list(owners)
     matches: dict[str, tuple[tuple[str, str], ...]] = {}
     tables: set[str] = set()
     unmatched: list[str] = []
     for phrase in attributes:
         if not phrase.strip():
             continue
-        norm = _normalize_name(phrase)
-        exact = [
-            (t.name, c.name)
-            for t in schema.tables
-            for c in t.columns
-            if _normalize_name(c.name) == norm
-        ]
-        if exact:
-            found = tuple(sorted(exact))
-        else:
-            found = tuple(sorted(
-                (t.name, c.name)
-                for t in schema.tables
-                for c in t.columns
-                if phrase_matches_name(phrase, c.name, weights, provider)
-            ))
+        found = tuple(sorted(
+            pair for name in matching_names(phrase, names, weights, provider)
+            for pair in owners[name]
+        ))
         if found:
             matches[phrase] = found
             tables.update(t for t, _c in found)

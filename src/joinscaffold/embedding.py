@@ -26,7 +26,10 @@ from .httpjson import POST_ERRORS, post_json
 
 DEFAULT_DIMENSION = 64
 
-_NON_ALNUM = re.compile(r"[^a-z0-9]+")
+# What separates the words of a name: every run of characters that is neither
+# a letter nor a digit, in any script. Name matching (``decompose``) and the
+# trigram embedding both normalise with it, so they agree on what a name is.
+WORD_BREAK = re.compile(r"[\W_]+")
 
 
 class EmbeddingError(RuntimeError):
@@ -39,12 +42,8 @@ class EmbeddingProvider(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
 
-def _normalize_text(text: str) -> str:
-    return _NON_ALNUM.sub(" ", text.lower()).strip()
-
-
 def _trigrams(text: str) -> list[str]:
-    padded = f"^{_normalize_text(text)}$"
+    padded = f"^{WORD_BREAK.sub(' ', text.lower()).strip()}$"
     if len(padded) < 3:
         return [padded]
     return [padded[i : i + 3] for i in range(len(padded) - 2)]

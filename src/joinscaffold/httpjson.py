@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import urllib.error
 import urllib.request
 from typing import Any, Mapping
 
@@ -32,5 +33,9 @@ def post_json(url: str, payload: Mapping[str, Any], api_key: str, timeout: float
         headers=headers,
         method="POST",
     )
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read())
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        exc.close()  # it holds the reply's open connection
+        raise

@@ -51,11 +51,9 @@ class PairStats:
 
 @dataclass(frozen=True)
 class StatsProfile:
-    """Immutable profile of distinct counts, samples, and per-pair statistics."""
+    """Immutable profile of per-pair statistics and the sample size behind them."""
 
     sample_limit: int
-    distinct_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    samples: dict[tuple[str, str], tuple] = field(default_factory=dict)
     pairs: dict[JoinPair, PairStats] = field(default_factory=dict)
     _by_table_pair: dict[tuple[str, str], PairStats] = field(
         init=False, repr=False, compare=False
@@ -215,15 +213,12 @@ def profile_statistics(
             needed.setdefault(ta, set()).add(ca)
             needed.setdefault(tb, set()).add(cb)
 
-        samples: dict[tuple[str, str], tuple] = {}
-        distinct: dict[tuple[str, str], int] = {}
+        samples: dict[tuple[str, str], list] = {}
         for table in sorted(needed):
             cols = sorted(needed[table])
             data = _sample_table(cur, table, cols, sample_limit)
             for col in cols:
-                values = tuple(data[col])
-                samples[(table, col)] = values
-                distinct[(table, col)] = len(set(values))
+                samples[(table, col)] = data[col]
     finally:
         conn.close()
 
@@ -237,9 +232,4 @@ def profile_statistics(
             samples[(ta, ca)], samples[(tb, cb)], both_numeric
         )
 
-    return StatsProfile(
-        sample_limit=sample_limit,
-        distinct_counts=distinct,
-        samples=samples,
-        pairs=pair_stats,
-    )
+    return StatsProfile(sample_limit=sample_limit, pairs=pair_stats)

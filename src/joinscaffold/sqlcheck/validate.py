@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 from ..canonical import canonical_json
 from ..costs import CostWeights, DEFAULT_WEIGHTS
-from ..decompose import MathEntity, TerminalSet, phrase_matches_name
+from ..decompose import MathEntity, TerminalSet, matching_names
 from ..embedding import EmbeddingProvider, default_provider
 from ..schema import Schema
 from ..steiner import SteinerScaffold
@@ -257,17 +257,13 @@ def validate_semantic(
             if phrase in seen_phrases:
                 continue
             seen_phrases.add(phrase)
-            if any(
-                phrase_matches_name(phrase, name, weights, provider)
-                for name in referenced_names
-            ):
+            if matching_names(phrase, referenced_names, weights, provider):
                 continue
             # Only resolvable attributes can be demanded of the query; a
             # phrase matching no schema column is reported by decomposition
             # as unmatched, not here.
-            if schema_columns is not None and not any(
-                phrase_matches_name(phrase, name, weights, provider)
-                for name in schema_columns
+            if schema_columns is not None and not matching_names(
+                phrase, schema_columns, weights, provider
             ):
                 continue
             violations.append(
@@ -391,15 +387,6 @@ def _division_avg_targets(ast: Query) -> list[str]:
     return targets
 
 
-def _match_column(
-    phrase: str,
-    names: Sequence[str],
-    weights: CostWeights,
-    provider: EmbeddingProvider,
-) -> bool:
-    return any(phrase_matches_name(phrase, n, weights, provider) for n in names)
-
-
 def _agg_violations(
     ast: Query,
     entities: Sequence[MathEntity],
@@ -429,12 +416,12 @@ def _agg_violations(
                     break
                 continue
             arg_cols = [c.name for a in call.args for c in columns_in(a)]
-            if any(_match_column(t, arg_cols, weights, provider) for t in targets):
+            if any(matching_names(t, arg_cols, weights, provider) for t in targets):
                 matched = True
                 break
         if not matched and op == "AVG":
             matched = any(
-                _match_column(t, division_avg, weights, provider) for t in targets
+                matching_names(t, division_avg, weights, provider) for t in targets
             ) or (not targets and bool(division_avg))
         if not matched and op == "COUNT":
             matched = any(c.name == "COUNT" and c.star for c in calls) and not targets
@@ -533,6 +520,7 @@ def _constraint_violations(
     provider: EmbeddingProvider,
 ) -> list[Violation]:
     preds = _collect_predicates(ast)
+    columns = list(dict.fromkeys(p.column for p in preds))
     violations = []
     for entity in entities:
         if entity.kind not in ("comparison", "range", "temporal"):
@@ -540,42 +528,34 @@ def _constraint_violations(
         if entity.operation in ("LAST", "FIRST"):
             continue  # ordering cues have no single-predicate translation
         expected_op = entity.operation
-
-        def column_ok(pred: _Predicate) -> bool:
-            if not entity.target_attributes:
-                return True
-            return any(
-                phrase_matches_name(t, pred.column, weights, provider)
+        # An entity with targets is checked against the predicates on a
+        # column one of them names; one without, against every predicate.
+        on_target = preds
+        if entity.target_attributes:
+            named = {
+                name
                 for t in entity.target_attributes
-            )
+                for name in matching_names(t, columns, weights, provider)
+            }
+            on_target = [p for p in preds if p.column in named]
 
-        matched = False
         if expected_op in ("IS NULL", "IS NOT NULL"):
-            matched = any(p.op == expected_op and column_ok(p) for p in preds)
+            matched = any(p.op == expected_op for p in on_target)
         elif expected_op == "BETWEEN":
             lo, hi = entity.literals
-            for p in preds:
-                if p.op == "BETWEEN" and column_ok(p):
-                    if _literal_equal(lo, p.value) and _literal_equal(hi, p.second):
-                        matched = True
-                        break
-            if not matched:
-                has_lo = any(
-                    p.op == ">=" and column_ok(p) and _literal_equal(lo, p.value)
-                    for p in preds
-                )
-                has_hi = any(
-                    p.op == "<=" and column_ok(p) and _literal_equal(hi, p.value)
-                    for p in preds
-                )
-                matched = has_lo and has_hi
+            matched = any(
+                p.op == "BETWEEN" and _literal_equal(lo, p.value) and _literal_equal(hi, p.second)
+                for p in on_target
+            ) or (
+                any(p.op == ">=" and _literal_equal(lo, p.value) for p in on_target)
+                and any(p.op == "<=" and _literal_equal(hi, p.value) for p in on_target)
+            )
         else:
             value = entity.literals[0] if entity.literals else None
-            for p in preds:
-                if p.op == expected_op and column_ok(p):
-                    if value is None or _literal_equal(value, p.value):
-                        matched = True
-                        break
+            matched = any(
+                p.op == expected_op and (value is None or _literal_equal(value, p.value))
+                for p in on_target
+            )
         if not matched:
             target = ", ".join(entity.target_attributes) or "<any>"
             rendered = f"{target} {expected_op} {list(entity.literals) or ''}".strip()

@@ -82,6 +82,31 @@ def test_graph_profile_uses_configured_tau(capsys, company_db, company_schema):
     assert got == expected
 
 
+def test_graph_profile_with_override_costs_walks_admission_once(
+    capsys, company_db, tmp_path, monkeypatch
+):
+    from joinscaffold import costs
+
+    overrides = tmp_path / "overrides.json"
+    overrides.write_text(
+        json.dumps({"edges": [{"a": "departments", "b": "assignments", "cost": 0.25}]}),
+        encoding="utf-8",
+    )
+    walks = []
+    walk = costs._admitted_pairs
+    monkeypatch.setattr(costs, "_admitted_pairs", lambda *a: walks.append(a) or walk(*a))
+    code, out, _err = run_cli(
+        capsys, "graph", company_db, "--db", company_db, "--profile",
+        "--override-costs", overrides,
+    )
+    assert code == 0
+    assert len(walks) == 1
+    edges = {(e["a"], e["b"]): e for e in json.loads(out)["edges"]}
+    pinned = edges[("assignments", "departments")]
+    assert not pinned["has_fk"]
+    assert {pinned[k] for k in ("connect", "semantic", "statistical", "total")} == {0.25}
+
+
 def test_graph_costs_table(capsys, analytics_schema_file, override_file):
     code, out, _err = run_cli(
         capsys, "graph", analytics_schema_file, "--override-costs", override_file, "--costs"

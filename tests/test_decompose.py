@@ -1,10 +1,17 @@
 import datetime
+import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import golden
+from helpers import FixedProvider, engineer_cosine_pair, engineer_similarity_cosine
 
+from joinscaffold.costs import DEFAULT_WEIGHTS, build_schema_graph
 from joinscaffold.decompose import (
+    AttributeMatches,
     MathEntity,
     TerminalSet,
     decompose_question,
@@ -12,9 +19,10 @@ from joinscaffold.decompose import (
     extract_entities,
     find_containing_tables,
     fk_only_adjacency,
-    phrase_matches_name,
+    matching_names,
 )
-from joinscaffold.schema import load_schema_from_document
+from joinscaffold.embedding import cosine01
+from joinscaffold.schema import ColumnDef, Schema, TableDef, load_schema_from_document
 
 
 def entity_index(entities):
@@ -133,8 +141,165 @@ def test_find_pageviews(analytics_schema):
 
 
 def test_phrase_matching_threshold():
-    assert phrase_matches_name("temperature", "temperature_c")
-    assert not phrase_matches_name("visitor", "pageviews")
+    assert matching_names("temperature", ["temperature_c"]) == ["temperature_c"]
+    assert matching_names("visitor", ["pageviews"]) == []
+    # similarities engineered to tau and one ulp to either side of it
+    tau, sim_alpha = DEFAULT_WEIGHTS.tau, DEFAULT_WEIGHTS.sim_alpha
+    vectors = {}
+    for name, target in [("below", math.nextafter(tau, 0.0)), ("at", tau),
+                         ("above", math.nextafter(tau, 2.0))]:
+        vectors["phrase"], vectors[name] = engineer_cosine_pair(
+            engineer_similarity_cosine(target, sim_alpha, type_match=1.0)
+        )
+    provider = FixedProvider(vectors)
+    found = matching_names("phrase", ["below", "at", "above"], provider=provider)
+    assert found == ["at", "above"]
+
+
+# The scalar matcher that ``matching_names`` replaced, kept as the reference:
+# an ASCII-only key and one name at a time.
+
+
+def _reference_key(text):
+    return re.sub(r"[^a-z0-9]+", "", text.lower())
+
+
+def reference_phrase_matches_name(phrase, name, weights, provider):
+    if _reference_key(phrase) and _reference_key(phrase) == _reference_key(name):
+        return True
+    cos = cosine01(provider.embed(phrase), provider.embed(name))
+    sim = weights.sim_alpha * cos + (1.0 - weights.sim_alpha)
+    return sim >= weights.tau
+
+
+def reference_find_containing_tables(attributes, schema, weights, provider):
+    matches, tables, unmatched = {}, set(), []
+    for phrase in attributes:
+        if not phrase.strip():
+            continue
+        norm = _reference_key(phrase)
+        exact = [
+            (t.name, c.name)
+            for t in schema.tables
+            for c in t.columns
+            if _reference_key(c.name) == norm
+        ]
+        if exact:
+            found = tuple(sorted(exact))
+        else:
+            found = tuple(sorted(
+                (t.name, c.name)
+                for t in schema.tables
+                for c in t.columns
+                if reference_phrase_matches_name(phrase, c.name, weights, provider)
+            ))
+        if found:
+            matches[phrase] = found
+            tables.update(t for t, _c in found)
+        elif phrase not in unmatched:
+            unmatched.append(phrase)
+    return AttributeMatches(matches, tuple(sorted(tables)), tuple(unmatched))
+
+
+# A small alphabet, so that names often share a key with the phrase.
+_ascii_names = st.text(alphabet="aAbB_ 1", min_size=1, max_size=6)
+
+
+@st.composite
+def _phrase_cases(draw):
+    """A phrase and names, some of whose similarity to the phrase is engineered
+    to land on tau or one ulp to either side of it."""
+    phrase = draw(_ascii_names)
+    names = draw(st.lists(_ascii_names, max_size=6))
+    tau, sim_alpha = DEFAULT_WEIGHTS.tau, DEFAULT_WEIGHTS.sim_alpha
+    targets = draw(st.lists(
+        st.sampled_from([math.nextafter(tau, 0.0), tau, math.nextafter(tau, 2.0)]),
+        max_size=3,
+    ))
+    vectors = {}
+    for i, target in enumerate(targets):
+        # the type term counts as a match, so type_match is 1
+        phrase_vec, name_vec = engineer_cosine_pair(
+            engineer_similarity_cosine(target, sim_alpha, type_match=1.0)
+        )
+        vectors[phrase], vectors[f"zz{i}"] = phrase_vec, name_vec
+        names.insert(draw(st.integers(0, len(names))), f"zz{i}")
+    return phrase, names, FixedProvider(vectors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phrase_cases())
+def test_matching_names_agrees_with_the_scalar_reference(case):
+    phrase, names, provider = case
+    weights = DEFAULT_WEIGHTS
+    found = matching_names(phrase, names, weights, provider)
+    referenced = [
+        n for n in names if reference_phrase_matches_name(phrase, n, weights, provider)
+    ]
+    assert bool(found) == bool(referenced)
+    exact = [n for n in names if _reference_key(phrase) == _reference_key(n)]
+    assert found == (exact if _reference_key(phrase) and exact else referenced)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_phrase_cases(), st.lists(_ascii_names, max_size=3), st.data())
+def test_find_containing_tables_agrees_with_the_scalar_reference(case, phrases, data):
+    phrase, names, provider = case
+    tables = []
+    for i in range(3):
+        # each table owns a subset of the names, so a name can have many owners
+        own = data.draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+        tables.append(TableDef(f"t{i}", tuple(ColumnDef(n, "text") for n in own) or (
+            ColumnDef("other", "text"),
+        )))
+    schema = Schema(tuple(tables))
+    attributes = [phrase, *phrases]
+    keyed = [p for p in attributes if _reference_key(p)]
+    assert find_containing_tables(
+        keyed, schema, DEFAULT_WEIGHTS, provider
+    ) == reference_find_containing_tables(keyed, schema, DEFAULT_WEIGHTS, provider)
+    # A phrase with no letter or digit no longer names, exactly, every column
+    # whose name has none either; it is matched by similarity alone.
+    found = find_containing_tables(attributes, schema, DEFAULT_WEIGHTS, provider)
+    for p in attributes:
+        if p.strip() and not _reference_key(p):
+            assert found.matches.get(p, ()) == tuple(sorted(
+                (t.name, c.name)
+                for t in schema.tables
+                for c in t.columns
+                if reference_phrase_matches_name(p, c.name, DEFAULT_WEIGHTS, provider)
+            ))
+
+
+def test_matching_names_embeds_nothing_when_an_exact_match_decides():
+    class Refusing:
+        dimension = 64
+
+        def embed(self, text):
+            raise AssertionError(f"embedded {text!r}")
+
+    names = ["hits", "page_views", "pageViews"]
+    assert matching_names("Page Views", names, provider=Refusing()) == names[1:]
+    assert matching_names("pageviews", [], provider=Refusing()) == []
+
+
+_UNICODE_SCHEMA_DOC = json.dumps({
+    "tables": [
+        {"name": "people", "columns": [{"name": "名前", "type": "TEXT"}]},
+        {"name": "cities", "columns": [{"name": "都市", "type": "TEXT"}]},
+    ],
+    "foreign_keys": [],
+})
+
+
+def test_names_without_ascii_letters_stay_distinct():
+    # Non-ASCII letters are kept by the name key and the trigram embedding,
+    # so two unrelated names no longer collapse into one.
+    schema = load_schema_from_document(_UNICODE_SCHEMA_DOC)
+    assert build_schema_graph(schema).edges == {}
+    assert find_containing_tables(["年齢"], schema).unmatched == ("年齢",)
+    assert find_containing_tables(["名前"], schema).matches == {"名前": (("people", "名前"),)}
+    assert find_containing_tables(["_"], schema).unmatched == ("_",)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +448,7 @@ def test_llm_extractor_validates_and_builds():
         '[{"operation": "AVG"}]',
         '[{"kind": "nonsense", "operation": "AVG"}]',
         '[{"kind": "aggregation", "operation": "AVG", "targets": [1]}]',
+        '[{"kind": "aggregation", "operation": "SUM", "targets": [""]}]',
     ],
 )
 def test_llm_extractor_rejects_malformed(reply):

@@ -1,7 +1,4 @@
-import json
 import math
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -75,37 +72,17 @@ def test_cosine01_clamps():
     assert cosine01(np.zeros(2), a) == 0.0
 
 
-class _EmbedHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        vectors = [[float(len(t)), 1.0, 0.0] for t in payload["texts"]]
-        body = json.dumps({"vectors": vectors}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def embed_server():
-    server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/embed"
-    server.shutdown()
-
-
-def test_http_provider_round_trip(embed_server):
-    provider = HttpEmbeddingProvider(endpoint=embed_server)
-    vecs = provider.embed_many(["abc", "defgh"])
-    assert np.array_equal(vecs[0], np.array([3.0, 1.0, 0.0]))
-    assert np.array_equal(vecs[1], np.array([5.0, 1.0, 0.0]))
-    assert provider.dimension == 3
-    assert np.array_equal(provider.embed("abc"), vecs[0])
+def test_http_provider_round_trip():
+    received = []
+    vectors = {"vectors": [[3.0, 1.0, 0.0], [5.0, 1.0, 0.0]]}
+    with json_server(vectors, received=received) as url:
+        provider = HttpEmbeddingProvider(endpoint=url)
+        vecs = provider.embed_many(["abc", "defgh"])
+        assert np.array_equal(vecs[0], np.array([3.0, 1.0, 0.0]))
+        assert np.array_equal(vecs[1], np.array([5.0, 1.0, 0.0]))
+        assert provider.dimension == 3
+        assert np.array_equal(provider.embed("abc"), vecs[0])
+    assert [body for _headers, body in received] == [{"texts": ["abc", "defgh"]}]
 
 
 def test_http_provider_requires_endpoint(monkeypatch):
@@ -114,8 +91,11 @@ def test_http_provider_requires_endpoint(monkeypatch):
         HttpEmbeddingProvider()
 
 
-def test_http_provider_failure(embed_server):
-    provider = HttpEmbeddingProvider(endpoint=embed_server + "/missing", timeout=5.0)
+def test_http_provider_failure():
+    with json_server(Reply({"error": "busy"}, status=503)) as url:
+        provider = HttpEmbeddingProvider(endpoint=url, timeout=5.0)
+        with pytest.raises(EmbeddingError):
+            provider.embed("abc")
     provider.endpoint = "http://127.0.0.1:9/never"
     with pytest.raises(EmbeddingError):
         provider.embed("abc")

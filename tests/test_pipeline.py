@@ -1,7 +1,4 @@
-import json
 import shutil
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from importlib import resources
 
 import pytest
@@ -490,67 +487,37 @@ def test_trace_invariants(analytics_schema, analytics_db):
 # ---------------------------------------------------------------------------
 
 
-class _ChatHandler(BaseHTTPRequestHandler):
-    failures_left = 0
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        if type(self).failures_left > 0:
-            type(self).failures_left -= 1
-            self.send_response(503)
-            self.end_headers()
-            return
-        answer = {
-            "choices": [
-                {"message": {"content": f"SELECT 1 -- {payload['model'] or 'default'}"}}
-            ]
-        }
-        body = json.dumps(answer).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
+def test_http_generator_success():
+    received = []
+    reply = {"choices": [{"message": {"content": "SELECT 1 -- test-model"}}]}
+    with json_server(reply, received=received) as url:
+        config = PipelineConfig(
+            generator_endpoint=url, generator_model="test-model", backoff=0.01
+        )
+        client = HttpGenerator(config)
+        assert client.generate("prompt", "question") == "SELECT 1 -- test-model"
+    assert [body["model"] for _headers, body in received] == ["test-model"]
 
 
-@pytest.fixture()
-def chat_server():
-    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat"
-    server.shutdown()
+def test_http_generator_retries_then_succeeds():
+    good = {"choices": [{"message": {"content": "SELECT 1 -- m"}}]}
+    unavailable = Reply(status=503)
+    with json_server(unavailable, unavailable, good) as url:
+        config = PipelineConfig(
+            generator_endpoint=url, generator_model="m", retries=3, backoff=0.01
+        )
+        client = HttpGenerator(config)
+        assert client.generate("p", "q").startswith("SELECT 1")
 
 
-def test_http_generator_success(chat_server):
-    config = PipelineConfig(
-        generator_endpoint=chat_server, generator_model="test-model", backoff=0.01
-    )
-    client = HttpGenerator(config)
-    assert client.generate("prompt", "question") == "SELECT 1 -- test-model"
-
-
-def test_http_generator_retries_then_succeeds(chat_server):
-    _ChatHandler.failures_left = 2
-    config = PipelineConfig(
-        generator_endpoint=chat_server, generator_model="m", retries=3, backoff=0.01
-    )
-    client = HttpGenerator(config)
-    assert client.generate("p", "q").startswith("SELECT 1")
-
-
-def test_http_generator_fails_after_retries(chat_server):
-    _ChatHandler.failures_left = 10
-    config = PipelineConfig(
-        generator_endpoint=chat_server, generator_model="m", retries=3, backoff=0.01
-    )
-    client = HttpGenerator(config)
-    with pytest.raises(GeneratorError, match="after 3 attempts"):
-        client.generate("p", "q")
-    _ChatHandler.failures_left = 0
+def test_http_generator_fails_after_retries():
+    with json_server(Reply(status=503)) as url:
+        config = PipelineConfig(
+            generator_endpoint=url, generator_model="m", retries=3, backoff=0.01
+        )
+        client = HttpGenerator(config)
+        with pytest.raises(GeneratorError, match="after 3 attempts"):
+            client.generate("p", "q")
 
 
 @pytest.mark.parametrize(
