@@ -393,6 +393,8 @@ def matching_names(
     empty) decide alone. Failing those, every name whose column similarity
     to the phrase reaches ``tau`` matches; the phrase carries no type
     information, so the type term of that similarity counts as a match.
+    An exact match hides the names reached only by similarity; a caller that
+    asks of each name on its own passes it as a one-name list.
     """
     key = _name_key(phrase)
     if key:

@@ -528,14 +528,19 @@ def _constraint_violations(
         if entity.operation in ("LAST", "FIRST"):
             continue  # ordering cues have no single-predicate translation
         expected_op = entity.operation
-        # An entity with targets is checked against the predicates on a
+        # An entity with targets is checked against the predicates on every
         # column one of them names; one without, against every predicate.
+        # Each column is matched on its own: an exact match on one column
+        # must not hide another that a target reaches by similarity.
         on_target = preds
         if entity.target_attributes:
             named = {
-                name
-                for t in entity.target_attributes
-                for name in matching_names(t, columns, weights, provider)
+                c
+                for c in columns
+                if any(
+                    matching_names(t, [c], weights, provider)
+                    for t in entity.target_attributes
+                )
             }
             on_target = [p for p in preds if p.column in named]
 

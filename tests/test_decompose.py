@@ -237,6 +237,10 @@ def test_matching_names_agrees_with_the_scalar_reference(case):
         n for n in names if reference_phrase_matches_name(phrase, n, weights, provider)
     ]
     assert bool(found) == bool(referenced)
+    # One name at a time, the matcher is the reference predicate itself: the
+    # rule a caller relies on when it asks which of several columns a phrase
+    # names, each on its own.
+    assert [n for n in names if matching_names(phrase, [n], weights, provider)] == referenced
     exact = [n for n in names if _reference_key(phrase) == _reference_key(n)]
     assert found == (exact if _reference_key(phrase) and exact else referenced)
 

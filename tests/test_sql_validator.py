@@ -147,6 +147,18 @@ def test_null_check_entities(company_db, company_schema):
     assert report.by_code("CONSTRAINT_MISMATCH")
 
 
+def test_constraint_on_similar_column_beside_exact_one():
+    # The target names `revenue` exactly and `revenues` only by similarity;
+    # the constraint sits on the second and still satisfies the entity.
+    ast = parse_sql("SELECT id FROM sales WHERE revenue IS NOT NULL AND revenues > 100")
+    entity = MathEntity("comparison", ">", ("revenue",), (100,))
+    ok, violations = validate_math(ast, (entity,))
+    assert ok, violations
+    ok, violations = validate_math(ast, (MathEntity("comparison", ">", ("revenue",), (200,)),))
+    assert not ok
+    assert [v.code for v in violations] == ["CONSTRAINT_MISMATCH"]
+
+
 def test_between_entity_matches_inequality_pair(company_db, company_schema):
     entity = MathEntity(
         "range", "BETWEEN", ("salary",), (40000, 80000)
