@@ -51,10 +51,8 @@ from .steiner import (  # noqa: F401
     solve_steiner,
 )
 from .decompose import (  # noqa: F401
-    DependencyGraph,
     MathEntity,
     TerminalSet,
-    analyze_dependencies,
     decompose_question,
     decomposition_document,
     extract_entities,
@@ -77,7 +75,6 @@ from .pipeline import (  # noqa: F401
     HttpGenerator,
     PipelineConfig,
     PipelineResult,
-    PromptBundle,
     StubGenerator,
     build_prompt,
     pipeline_document,

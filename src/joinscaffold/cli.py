@@ -3,7 +3,7 @@
 Every command writes a canonical document to stdout (or ``-o FILE``) so
 outputs can be diffed and piped between commands. Exit codes: 0 success,
 2 domain failure (validation failed, disconnected terminals, loop exhausted),
-1 infrastructure or usage error.
+1 infrastructure or usage error, every database fault included.
 
 Configuration precedence: flags > environment > config file > defaults.
 """
@@ -396,12 +396,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for group in exc.groups:
             print(f"  group: {', '.join(group)}", file=sys.stderr)
         return EXIT_DOMAIN
+    except (SchemaError, InfrastructureError, GeneratorError, OSError) as exc:
+        # Before ValueError: SchemaError subclasses it, and database faults exit 1.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFRA
     except (SteinerError, PipelineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (SchemaError, InfrastructureError, GeneratorError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFRA
 
 
 if __name__ == "__main__":

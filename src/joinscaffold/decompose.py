@@ -64,9 +64,6 @@ class MathEntity:
         if any(not t.strip() for t in self.target_attributes):
             raise ValueError("target attributes must not be blank")
 
-    def has_literals(self) -> bool:
-        return bool(self.literals)
-
 
 @dataclass(frozen=True)
 class TerminalSet:

@@ -25,7 +25,6 @@ Re-planning rules by violation code:
 from __future__ import annotations
 
 import functools
-import os
 import string
 import time
 from dataclasses import dataclass
@@ -91,17 +90,6 @@ class PipelineConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "PipelineConfig":
-        env = os.environ
-        values = dict(
-            generator_endpoint=env.get("JOINSCAFFOLD_GENERATOR_ENDPOINT", ""),
-            generator_model=env.get("JOINSCAFFOLD_GENERATOR_MODEL", ""),
-            generator_api_key=env.get("JOINSCAFFOLD_GENERATOR_API_KEY", ""),
-        )
-        values.update(overrides)
-        return cls(**values)
 
 
 class GeneratorClient(Protocol):
@@ -197,8 +185,6 @@ class PromptBundle:
     build_relation: str
     optimal_query_plan: str
     behavioral_guidelines: str
-    scaffold_doc: str
-    schema_excerpt: str
 
     def __post_init__(self) -> None:
         for name in TEMPLATE_NAMES:
@@ -270,21 +256,19 @@ def build_prompt(
     templates = {name: _load_template(name, config.template_dir) for name in TEMPLATE_NAMES}
     extra_lines = [f"- The table {t!r} is required; include it." for t in must_include]
     extra_lines += [f"- {req}" for req in extra_requirements]
-    excerpt = _schema_excerpt(schema, scaffold.vertices)
-    bundle = PromptBundle(
+    return PromptBundle(
         role_play=templates["role_play"].substitute(),
         critical_requirements=templates["critical_requirements"].substitute(
             extra_requirements="\n".join(extra_lines)
         ),
-        build_relation=templates["build_relation"].substitute(schema_excerpt=excerpt),
+        build_relation=templates["build_relation"].substitute(
+            schema_excerpt=_schema_excerpt(schema, scaffold.vertices)
+        ),
         optimal_query_plan=templates["optimal_query_plan"].substitute(
             plan=_plan_section(scaffold)
         ),
         behavioral_guidelines=templates["behavioral_guidelines"].substitute(),
-        scaffold_doc=scaffold_document(scaffold),
-        schema_excerpt=excerpt,
     )
-    return bundle
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .schema import Schema, SchemaError, quote_identifier
+from .schema import Schema, SchemaError, connect_read_only, quote_identifier, user_tables
 
 NEUTRAL = 0.5
 DEFAULT_SAMPLE_LIMIT = 10_000
@@ -78,16 +78,15 @@ class StatsProfile:
 
 
 def _sample_table(
-    cur: sqlite3.Cursor, table: str, columns: Sequence[str], limit: int
+    conn: sqlite3.Connection, table: str, columns: Sequence[str], limit: int
 ) -> dict[str, list]:
     cols = ", ".join(quote_identifier(c) for c in columns)
     source = quote_identifier(table)
     try:
-        cur.execute(f"SELECT {cols} FROM {source} ORDER BY rowid LIMIT ?", (limit,))
+        rows = conn.execute(f"SELECT {cols} FROM {source} ORDER BY rowid LIMIT ?", (limit,))
     except sqlite3.OperationalError:
         # WITHOUT ROWID tables have no rowid; fall back to declaration order.
-        cur.execute(f"SELECT {cols} FROM {source} LIMIT ?", (limit,))
-    rows = cur.fetchall()
+        rows = conn.execute(f"SELECT {cols} FROM {source} LIMIT ?", (limit,))
     out: dict[str, list] = {c: [] for c in columns}
     for row in rows:
         for c, v in zip(columns, row):
@@ -189,21 +188,14 @@ def profile_statistics(
     """
     if sample_limit <= 0:
         raise ValueError("sample_limit must be positive")
-    path = Path(path)
-    if not path.is_file():
-        raise SchemaError(f"database file not readable: {path}")
     if pairs is None:
         from .costs import candidate_join_pairs  # deferred: costs imports this module
 
         pairs = candidate_join_pairs(schema)
 
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    conn = connect_read_only(path)
     try:
-        cur = conn.cursor()
-        cur.execute(
-            "SELECT name FROM sqlite_master WHERE type='table' AND name NOT LIKE 'sqlite_%'"
-        )
-        present = {row[0] for row in cur.fetchall()}
+        present = set(user_tables(conn))
         missing = [t.name for t in schema.tables if t.name not in present]
         if missing:
             raise SchemaError(f"schema/database mismatch: missing tables {missing}")
@@ -216,7 +208,7 @@ def profile_statistics(
         samples: dict[tuple[str, str], list] = {}
         for table in sorted(needed):
             cols = sorted(needed[table])
-            data = _sample_table(cur, table, cols, sample_limit)
+            data = _sample_table(conn, table, cols, sample_limit)
             for col in cols:
                 samples[(table, col)] = data[col]
     finally:

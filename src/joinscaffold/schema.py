@@ -176,6 +176,41 @@ def _sorted_schema(tables: Iterable[TableDef], fks: Iterable[ForeignKey]) -> Sch
     return Schema(tables, fks)
 
 
+def connect_read_only(path: Union[str, Path]) -> sqlite3.Connection:
+    """The package's one way to open a database: read-only, ``path`` taken literally.
+
+    A file that is not a database raises :class:`SchemaError` here. ``ATTACH``
+    and ``VACUUM INTO`` (both the ``SQLITE_ATTACH`` action) are denied, as they
+    write files even on a read-only connection.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise SchemaError(f"database file not readable: {path}")
+    conn = None
+    try:
+        conn = sqlite3.connect(path.absolute().as_uri() + "?mode=ro", uri=True)
+        conn.execute("SELECT count(*) FROM sqlite_master").fetchone()
+    except sqlite3.Error as exc:
+        if conn is not None:
+            conn.close()
+        raise SchemaError(f"cannot open database {path}: {exc}") from exc
+    conn.set_authorizer(_deny_attach)
+    return conn
+
+
+def _deny_attach(action: int, *_detail) -> int:
+    return sqlite3.SQLITE_DENY if action == sqlite3.SQLITE_ATTACH else sqlite3.SQLITE_OK
+
+
+def user_tables(conn: sqlite3.Connection) -> list[str]:
+    """Names of the user tables, sorted. SQLite reserves the prefix ``sqlite_``."""
+    rows = conn.execute(
+        "SELECT name FROM sqlite_master WHERE type='table' "
+        r"AND name NOT LIKE 'sqlite\_%' ESCAPE '\' ORDER BY name"
+    )
+    return [row[0] for row in rows]
+
+
 def load_schema_from_database(path: Union[str, Path]) -> Schema:
     """Load every user table, its typed columns, and declared FKs from a SQLite file.
 
@@ -183,24 +218,14 @@ def load_schema_from_database(path: Union[str, Path]) -> Schema:
     identical. Raises :class:`SchemaError` for unreadable files or databases
     without user tables.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise SchemaError(f"database file not readable: {path}")
+    conn = connect_read_only(path)
     try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-    except sqlite3.Error as exc:
-        raise SchemaError(f"cannot open database {path}: {exc}") from exc
-    try:
-        cur = conn.cursor()
-        cur.execute(
-            "SELECT name FROM sqlite_master WHERE type='table' "
-            "AND name NOT LIKE 'sqlite_%' ORDER BY name"
-        )
-        names = [row[0] for row in cur.fetchall()]
+        names = user_tables(conn)
         if not names:
             raise SchemaError(f"no user tables in {path}")
         if len({n.lower() for n in names}) != len(names):
             raise SchemaError("duplicate table names")
+        cur = conn.cursor()
         tables = []
         fks = []
         for name in names:

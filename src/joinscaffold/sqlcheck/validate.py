@@ -1,9 +1,10 @@
 """Three-level validation of candidate SQL.
 
-Level 1 executes the query read-only and captures engine errors. Level 2
-checks semantic consistency: terminal coverage, join relevance against the
-scaffold, and attribute mapping. Level 3 audits mathematical structure: the
-group-by rule, aggregate/operation agreement, and constraint translation.
+Level 1 executes the query on a read-only connection that refuses ``ATTACH``
+and ``VACUUM INTO``, and captures engine errors. Level 2 checks semantic
+consistency: terminal coverage, join relevance against the scaffold, and
+attribute mapping. Level 3 audits mathematical structure: the group-by rule,
+aggregate/operation agreement, and constraint translation.
 
 A level-1 failure suppresses levels 2 and 3. When the query parses outside
 the supported subset, levels 2 and 3 are skipped with an explanatory note and
@@ -23,7 +24,7 @@ from ..canonical import canonical_json
 from ..costs import CostWeights, DEFAULT_WEIGHTS
 from ..decompose import MathEntity, TerminalSet, matching_names
 from ..embedding import EmbeddingProvider, default_provider
-from ..schema import Schema
+from ..schema import Schema, SchemaError, connect_read_only
 from ..steiner import SteinerScaffold
 from .parser import (
     BetweenOp,
@@ -113,13 +114,10 @@ def report_document(report: ValidationReport) -> str:
 
 def validate_execution(sql: str, db_path: Union[str, Path]) -> ValidationReport:
     """Execute read-only; engine failures become SYNTAX/EXECUTION violations."""
-    db_path = Path(db_path)
-    if not db_path.is_file():
-        raise InfrastructureError(f"database not found: {db_path}")
     try:
-        conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
-    except sqlite3.Error as exc:
-        raise InfrastructureError(f"cannot open database {db_path}: {exc}") from exc
+        conn = connect_read_only(db_path)
+    except SchemaError as exc:
+        raise InfrastructureError(str(exc)) from exc
     try:
         cur = conn.execute(sql)
         row_count = 0

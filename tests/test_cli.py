@@ -350,6 +350,34 @@ def test_run_config_file_rejects_zero_counts(
     assert f"{field} must be an integer of at least 1" in err
 
 
+def test_graph_profile_missing_database_exits_1(capsys, analytics_schema_file, tmp_path):
+    code, out, err = run_cli(
+        capsys,
+        "graph", analytics_schema_file, "--db", tmp_path / "missing.db", "--profile",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: database file not readable:")
+
+
+def test_run_schema_database_mismatch_exits_1(
+    capsys, analytics_schema_file, company_db, tmp_path
+):
+    stub_file = tmp_path / "stub.json"
+    stub_file.write_text(
+        json.dumps({"default": golden.ANALYTICS_GOLDEN_SQL}), encoding="utf-8"
+    )
+    code, out, err = run_cli(
+        capsys,
+        "run", golden.ANALYTICS_QUESTION, analytics_schema_file,
+        "--db", company_db,
+        "--stub-responses", stub_file,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: schema/database mismatch: missing tables")
+
+
 def test_bench_command(capsys):
     code, out, _err = run_cli(
         capsys, "bench", "--seeds", "5", "--nodes", "6"

@@ -135,7 +135,8 @@ def test_prompt_has_all_five_sections(analytics_schema, analytics_scaffold):
         bundle.behavioral_guidelines,
     ):
         assert section.strip() in text
-    assert bundle.schema_excerpt in bundle.build_relation
+    excerpt = pipeline._schema_excerpt(analytics_schema, analytics_scaffold.vertices)
+    assert excerpt in bundle.build_relation
 
 
 # ---------------------------------------------------------------------------
