@@ -80,13 +80,24 @@ def _load_schema_input(path_text: str) -> Schema:
         raise CliError(str(exc)) from exc
 
 
+def _read_json(path: Path, what: str):
+    """The parsed JSON content of a file named on the command line.
+
+    A missing file or one that is not UTF-8 JSON is a usage error (exit 1),
+    reported with the file's name.
+    """
+    if not path.is_file():
+        raise CliError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CliError(f"{what} {path}: {exc}") from exc
+
+
 def _load_overrides(path_text: Optional[str]) -> Optional[dict]:
     if not path_text:
         return None
-    path = Path(path_text)
-    if not path.is_file():
-        raise CliError(f"override-costs file not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = _read_json(Path(path_text), "override-costs file")
     return {(e["a"], e["b"]): float(e["cost"]) for e in doc["edges"]}
 
 
@@ -96,10 +107,7 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     weight_fields: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        path = Path(config_path)
-        if not path.is_file():
-            raise CliError(f"config file not found: {path}")
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = _read_json(Path(config_path), "config file")
         weight_fields.update(doc.pop("weights", {}))
         for key in (
             "sample_limit", "max_iterations", "temperature", "generator_endpoint",
@@ -196,8 +204,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise CliError(f"input not found: {path}")
     graph = None
     if path.suffix.lower() in (".json", ".txt"):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        if "vertices" in doc and "edges" in doc:
+        doc = _read_json(path, "input")
+        if isinstance(doc, dict) and "vertices" in doc and "edges" in doc:
             graph = load_graph_document(path.read_text(encoding="utf-8"))
     if graph is None:
         schema = _load_schema_input(args.input)
@@ -270,7 +278,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_OK
     schema = _load_schema_input(args.schema)
     if args.stub_responses:
-        doc = json.loads(Path(args.stub_responses).read_text(encoding="utf-8"))
+        doc = _read_json(Path(args.stub_responses), "stub-responses file")
         if isinstance(doc, list):
             client = StubGenerator(responses=doc)
         else:

@@ -18,12 +18,15 @@ whose name equals the phrase once both are lower-cased and stripped of every
 character that is not a letter or digit, or, when none does, every column whose
 name similarity to the phrase reaches the admission threshold ``tau`` (the
 phrase has no type, so the type term counts as a match). Validation and
-re-planning ask the same question through the same function.
+re-planning ask the same question through the same function. Each name is
+normalised once per process: the key is memoised, in a bounded memo because
+phrases come from user questions.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -374,6 +377,9 @@ def extract_entities(question: str) -> list[MathEntity]:
 # --------------------------------------------------------------------------
 
 
+# Bounded, as phrases come from user questions; room for a wide schema's
+# column names plus a batch of questions' phrases.
+@functools.lru_cache(maxsize=1 << 16)
 def _name_key(text: str) -> str:
     return WORD_BREAK.sub("", text.lower())
 
@@ -426,10 +432,7 @@ def find_containing_tables(
     provider: Optional[EmbeddingProvider] = None,
 ) -> AttributeMatches:
     """Owning tables for each attribute phrase; unmatched phrases are reported."""
-    owners: dict[str, list[tuple[str, str]]] = {}
-    for t in schema.tables:
-        for c in t.columns:
-            owners.setdefault(c.name, []).append((t.name, c.name))
+    owners = schema.column_owners
     names = list(owners)
     matches: dict[str, tuple[tuple[str, str], ...]] = {}
     tables: set[str] = set()

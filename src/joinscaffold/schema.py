@@ -121,11 +121,17 @@ class ForeignKey:
 
 @dataclass(frozen=True)
 class Schema:
-    """Immutable schema: tables in sorted order plus declared foreign keys."""
+    """Immutable schema: tables in sorted order plus declared foreign keys.
+
+    ``column_owners`` maps each column name to its ``(table, column)`` pairs,
+    in table order. It is derived from ``tables``, so it takes no part in
+    equality, hashing or ``repr``.
+    """
 
     tables: tuple[TableDef, ...]
     foreign_keys: tuple[ForeignKey, ...] = ()
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    column_owners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [t.name for t in self.tables]
@@ -139,6 +145,13 @@ class Schema:
                 if not index[tbl].has_column(col):
                     raise SchemaError(f"dangling foreign key: column {tbl}.{col} not in schema")
         object.__setattr__(self, "_index", index)
+        owners: dict[str, list[tuple[str, str]]] = {}
+        for t in self.tables:
+            for c in t.columns:
+                owners.setdefault(c.name, []).append((t.name, c.name))
+        object.__setattr__(
+            self, "column_owners", {name: tuple(pairs) for name, pairs in owners.items()}
+        )
 
     @property
     def table_names(self) -> tuple[str, ...]:
@@ -211,6 +224,11 @@ def user_tables(conn: sqlite3.Connection) -> list[str]:
     return [row[0] for row in rows]
 
 
+def table_info(conn: sqlite3.Connection, table: str) -> list[tuple]:
+    """``PRAGMA table_info`` rows of ``table``: (cid, name, type, notnull, default, pk)."""
+    return conn.execute(f"PRAGMA table_info({quote_identifier(table)})").fetchall()
+
+
 def load_schema_from_database(path: Union[str, Path]) -> Schema:
     """Load every user table, its typed columns, and declared FKs from a SQLite file.
 
@@ -229,10 +247,9 @@ def load_schema_from_database(path: Union[str, Path]) -> Schema:
         tables = []
         fks = []
         for name in names:
-            cur.execute(f"PRAGMA table_info({quote_identifier(name)})")
             cols = [
                 ColumnDef(row[1], map_declared_type(row[2]), bool(row[5]))
-                for row in cur.fetchall()
+                for row in table_info(conn, name)
             ]
             cur.execute(f"SELECT COUNT(*) FROM {quote_identifier(name)}")
             row_count = cur.fetchone()[0]
@@ -243,7 +260,7 @@ def load_schema_from_database(path: Union[str, Path]) -> Schema:
                 # NULL, meaning the referenced table's primary key.
                 ref_table, from_col, to_col = row[2], row[3], row[4]
                 if to_col is None:
-                    to_col = _primary_key_of(cur, ref_table)
+                    to_col = _primary_key_of(conn, ref_table)
                 fks.append(ForeignKey(name, from_col, ref_table, to_col))
     except sqlite3.Error as exc:
         raise SchemaError(f"error reading database {path}: {exc}") from exc
@@ -257,9 +274,8 @@ def quote_identifier(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def _primary_key_of(cur: sqlite3.Cursor, table: str) -> str:
-    cur.execute(f"PRAGMA table_info({quote_identifier(table)})")
-    for row in cur.fetchall():
+def _primary_key_of(conn: sqlite3.Connection, table: str) -> str:
+    for row in table_info(conn, table):
         if row[5]:
             return row[1]
     raise SchemaError(f"foreign key references table {table!r} without a primary key")

@@ -246,9 +246,7 @@ def validate_semantic(
 
     referenced_names = [c.name for c in _all_query_columns(ast)]
     referenced_names += [item.alias for item in ast.select_items if item.alias]
-    schema_columns = (
-        [c.name for t in schema.tables for c in t.columns] if schema is not None else None
-    )
+    schema_columns = list(schema.column_owners) if schema is not None else None
     seen_phrases: set[str] = set()
     for entity in entities:
         for phrase in entity.target_attributes:

@@ -8,6 +8,7 @@ from helpers import admitted_join_columns, json_server
 from joinscaffold.cli import main
 from joinscaffold.costs import CostWeights, build_schema_graph, statistical_cost
 from joinscaffold.profiling import profile_statistics
+from joinscaffold.schema import serialize_schema_document
 
 
 @pytest.fixture()
@@ -376,6 +377,39 @@ def test_run_schema_database_mismatch_exits_1(
     assert code == 1
     assert out == ""
     assert err.startswith("error: schema/database mismatch: missing tables")
+
+
+MALFORMED_JSON_COMMANDS = {
+    "config": lambda schema, bad: ["graph", schema, "--config", bad],
+    "override-costs": lambda schema, bad: ["graph", schema, "--override-costs", bad],
+    "stub-responses": lambda schema, bad: [
+        "run", golden.ANALYTICS_QUESTION, schema, "--stub-responses", bad,
+    ],
+    "solve-input": lambda schema, bad: ["solve", bad, "--terminals", "hits"],
+}
+
+
+@pytest.mark.parametrize("source", sorted(MALFORMED_JSON_COMMANDS))
+def test_malformed_json_file_exits_1_naming_it(capsys, analytics_schema_file, tmp_path, source):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad", encoding="utf-8")
+    code, out, err = run_cli(capsys, *MALFORMED_JSON_COMMANDS[source](analytics_schema_file, bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(bad) in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
+def test_graph_profile_schema_column_missing_from_database_exits_1(
+    capsys, company_db, company_schema, tmp_path
+):
+    doc = json.loads(serialize_schema_document(company_schema))
+    doc["tables"][0]["columns"].append({"name": "ghost", "type": "TEXT"})
+    schema_file = tmp_path / "cm.json"
+    schema_file.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "graph", schema_file, "--db", company_db, "--profile")
+    assert (code, out) == (1, "")
+    table = doc["tables"][0]["name"]
+    assert err == f"error: schema/database mismatch: missing columns ['{table}.ghost']\n"
 
 
 def test_bench_command(capsys):

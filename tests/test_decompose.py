@@ -14,6 +14,7 @@ from joinscaffold.decompose import (
     AttributeMatches,
     MathEntity,
     TerminalSet,
+    _name_key,
     decompose_question,
     decomposition_document,
     extract_entities,
@@ -227,22 +228,37 @@ def _phrase_cases(draw):
     return phrase, names, FixedProvider(vectors)
 
 
+def in_each_memo_state(check):
+    """Run ``check`` with a cold name-key memo, a warm one, and after a clear."""
+    _name_key.cache_clear()
+    check()
+    check()
+    _name_key.cache_clear()
+    check()
+
+
 @settings(max_examples=300, deadline=None)
 @given(_phrase_cases())
 def test_matching_names_agrees_with_the_scalar_reference(case):
     phrase, names, provider = case
     weights = DEFAULT_WEIGHTS
-    found = matching_names(phrase, names, weights, provider)
     referenced = [
         n for n in names if reference_phrase_matches_name(phrase, n, weights, provider)
     ]
-    assert bool(found) == bool(referenced)
-    # One name at a time, the matcher is the reference predicate itself: the
-    # rule a caller relies on when it asks which of several columns a phrase
-    # names, each on its own.
-    assert [n for n in names if matching_names(phrase, [n], weights, provider)] == referenced
     exact = [n for n in names if _reference_key(phrase) == _reference_key(n)]
-    assert found == (exact if _reference_key(phrase) and exact else referenced)
+
+    def check():
+        found = matching_names(phrase, names, weights, provider)
+        assert bool(found) == bool(referenced)
+        # One name at a time, the matcher is the reference predicate itself:
+        # the rule a caller relies on when it asks which of several columns a
+        # phrase names, each on its own.
+        assert [
+            n for n in names if matching_names(phrase, [n], weights, provider)
+        ] == referenced
+        assert found == (exact if _reference_key(phrase) and exact else referenced)
+
+    in_each_memo_state(check)
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,20 +275,43 @@ def test_find_containing_tables_agrees_with_the_scalar_reference(case, phrases, 
     schema = Schema(tuple(tables))
     attributes = [phrase, *phrases]
     keyed = [p for p in attributes if _reference_key(p)]
-    assert find_containing_tables(
-        keyed, schema, DEFAULT_WEIGHTS, provider
-    ) == reference_find_containing_tables(keyed, schema, DEFAULT_WEIGHTS, provider)
-    # A phrase with no letter or digit no longer names, exactly, every column
-    # whose name has none either; it is matched by similarity alone.
-    found = find_containing_tables(attributes, schema, DEFAULT_WEIGHTS, provider)
-    for p in attributes:
-        if p.strip() and not _reference_key(p):
-            assert found.matches.get(p, ()) == tuple(sorted(
-                (t.name, c.name)
-                for t in schema.tables
-                for c in t.columns
-                if reference_phrase_matches_name(p, c.name, DEFAULT_WEIGHTS, provider)
-            ))
+    expected = reference_find_containing_tables(keyed, schema, DEFAULT_WEIGHTS, provider)
+
+    def check():
+        assert find_containing_tables(keyed, schema, DEFAULT_WEIGHTS, provider) == expected
+        # A phrase with no letter or digit no longer names, exactly, every
+        # column whose name has none either; it is matched by similarity alone.
+        found = find_containing_tables(attributes, schema, DEFAULT_WEIGHTS, provider)
+        for p in attributes:
+            if p.strip() and not _reference_key(p):
+                assert found.matches.get(p, ()) == tuple(sorted(
+                    (t.name, c.name)
+                    for t in schema.tables
+                    for c in t.columns
+                    if reference_phrase_matches_name(p, c.name, DEFAULT_WEIGHTS, provider)
+                ))
+
+    in_each_memo_state(check)
+
+
+def test_each_name_is_normalised_once_across_many_questions(analytics_schema):
+    # Twenty questions on one schema: the name-key memo misses once per
+    # distinct column name and once per distinct phrase, never once per
+    # comparison.
+    columns = sorted(analytics_schema.column_owners)
+    questions = [
+        f"what is the {agg} {a} per {b}"
+        for agg in ("total", "average", "maximum", "minimum", "count of")
+        for a, b in zip(columns, ["month", "visitor", columns[0], columns[-1]])
+    ]
+    assert len(questions) == 20
+    _name_key.cache_clear()
+    phrases = set()
+    for question in questions:
+        result = decompose_question(question, analytics_schema)
+        phrases.update(p for e in result.entities for p in e.target_attributes)
+        assert result.terminals.entries
+    assert _name_key.cache_info().misses <= len(columns) + len(phrases)
 
 
 def test_matching_names_embeds_nothing_when_an_exact_match_decides():

@@ -1,3 +1,4 @@
+import json
 import sqlite3
 
 import pytest
@@ -11,7 +12,12 @@ from joinscaffold.profiling import (
     profile_statistics,
     quantile_aligned_pearson,
 )
-from joinscaffold.schema import SchemaError, load_schema_from_database
+from joinscaffold.schema import (
+    SchemaError,
+    load_schema_from_database,
+    load_schema_from_document,
+    serialize_schema_document,
+)
 
 
 @pytest.fixture()
@@ -95,6 +101,31 @@ def test_schema_database_mismatch(stats_db, tmp_path):
     schema = load_schema_from_database(stats_db)
     with pytest.raises(SchemaError, match="mismatch"):
         profile_statistics(schema, other, pairs=[])
+
+
+def redeclared(schema, table, edit):
+    """``schema`` with ``edit`` applied to the column list of ``table``."""
+    doc = json.loads(serialize_schema_document(schema))
+    for t in doc["tables"]:
+        if t["name"] == table:
+            edit(t["columns"])
+    return load_schema_from_document(json.dumps(doc))
+
+
+def test_schema_column_missing_from_the_database(stats_db):
+    schema = load_schema_from_database(stats_db)
+    # SQLite would read the unknown "ghost" as a string literal and sample it.
+    ghost = redeclared(schema, "parents", lambda cols: cols.append(
+        {"name": "ghost", "type": "TEXT"}
+    ))
+    with pytest.raises(SchemaError, match=r"missing columns \['parents\.ghost'\]"):
+        profile_statistics(ghost, stats_db, pairs=[])
+    # SQLite resolves a name that differs only in ASCII case, so it passes.
+    upper = redeclared(schema, "parents", lambda cols: [
+        c.update(name=c["name"].upper()) for c in cols if c["name"] == "label"
+    ])
+    profile = profile_statistics(upper, stats_db, pairs=[("children", "tag", "parents", "LABEL")])
+    assert profile.pair_stats("children", "tag", "parents", "LABEL").selectivity == 1.0
 
 
 def test_sample_limit_positive(stats_db):

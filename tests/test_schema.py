@@ -122,6 +122,34 @@ def test_document_round_trip_is_canonical():
     assert load_schema_from_document(canonical) == schema
 
 
+def test_column_owners_is_derived_and_takes_no_part_in_identity():
+    doc = """
+    {"tables": [
+        {"name": "readings", "columns": [
+            {"name": "collector_id", "type": "TEXT"},
+            {"name": "status", "type": "TEXT"}]},
+        {"name": "collectors", "columns": [
+            {"name": "status", "type": "TEXT"},
+            {"name": "collector_id", "type": "TEXT", "pk": true}]}]}
+    """
+    schema = load_schema_from_document(doc)
+    rebuilt = {}
+    for t in schema.tables:
+        for c in t.columns:
+            rebuilt.setdefault(c.name, []).append((t.name, c.name))
+    assert schema.column_owners == {name: tuple(pairs) for name, pairs in rebuilt.items()}
+    assert schema.column_owners["status"] == (("collectors", "status"), ("readings", "status"))
+    # Built directly rather than through a document, the schema is the same value.
+    direct = Schema(schema.tables, schema.foreign_keys)
+    assert direct == schema and hash(direct) == hash(schema)
+    assert direct.column_owners == schema.column_owners
+    assert repr(schema) == repr(direct) == (
+        f"Schema(tables={schema.tables!r}, foreign_keys={schema.foreign_keys!r})"
+    )
+    assert serialize_schema_document(direct) == serialize_schema_document(schema)
+    assert "column_owners" not in serialize_schema_document(schema)
+
+
 def test_document_dangling_fk_rejected():
     doc = """
     {"tables": [{"name": "a", "columns": [{"name": "x", "type": "INT"}]}],
