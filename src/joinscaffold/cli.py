@@ -84,7 +84,8 @@ def _read_json(path: Path, what: str):
     """The parsed JSON content of a file named on the command line.
 
     A missing file or one that is not UTF-8 JSON is a usage error (exit 1),
-    reported with the file's name.
+    reported with the file's name. Each caller checks the shape of what it
+    reads and reports a wrong one the same way.
     """
     if not path.is_file():
         raise CliError(f"{what} not found: {path}")
@@ -94,11 +95,49 @@ def _read_json(path: Path, what: str):
         raise CliError(f"{what} {path}: {exc}") from exc
 
 
+def _is_override_edge(edge) -> bool:
+    return (
+        isinstance(edge, dict)
+        and isinstance(edge.get("a"), str)
+        and isinstance(edge.get("b"), str)
+        and isinstance(edge.get("cost"), (int, float))
+        and not isinstance(edge.get("cost"), bool)
+    )
+
+
 def _load_overrides(path_text: Optional[str]) -> Optional[dict]:
     if not path_text:
         return None
-    doc = _read_json(Path(path_text), "override-costs file")
-    return {(e["a"], e["b"]): float(e["cost"]) for e in doc["edges"]}
+    path = Path(path_text)
+    doc = _read_json(path, "override-costs file")
+    edges = doc.get("edges") if isinstance(doc, dict) else None
+    if not isinstance(edges, list) or not all(_is_override_edge(e) for e in edges):
+        raise CliError(
+            f"override-costs file {path}: expected an object with an \"edges\" list "
+            'of {"a": table, "b": table, "cost": number} objects'
+        )
+    return {(e["a"], e["b"]): float(e["cost"]) for e in edges}
+
+
+def _load_stub(path: Path) -> StubGenerator:
+    doc = _read_json(path, "stub-responses file")
+    if isinstance(doc, list):
+        doc = {"responses": doc}
+    if isinstance(doc, dict):
+        responses, keyed, default = doc.get("responses", []), doc.get("keyed"), doc.get("default")
+        if (
+            isinstance(responses, list)
+            and all(isinstance(r, str) for r in responses)
+            and (keyed is None or isinstance(keyed, dict))
+            and all(isinstance(r, str) for r in (keyed or {}).values())
+            and (default is None or isinstance(default, str))
+        ):
+            return StubGenerator(responses=responses, keyed=keyed, default=default)
+    raise CliError(
+        f"stub-responses file {path}: expected a list of SQL strings or an object "
+        'with "responses" (a list of strings), "keyed" (an object of strings) '
+        'and "default" (a string)'
+    )
 
 
 def _effective_config(args: argparse.Namespace) -> PipelineConfig:
@@ -108,6 +147,11 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     config_path = getattr(args, "config", None)
     if config_path:
         doc = _read_json(Path(config_path), "config file")
+        if not isinstance(doc, dict) or not isinstance(doc.get("weights", {}), dict):
+            raise CliError(
+                f"config file {config_path}: expected an object, "
+                'with "weights" (if given) an object'
+            )
         weight_fields.update(doc.pop("weights", {}))
         for key in (
             "sample_limit", "max_iterations", "temperature", "generator_endpoint",
@@ -278,15 +322,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_OK
     schema = _load_schema_input(args.schema)
     if args.stub_responses:
-        doc = _read_json(Path(args.stub_responses), "stub-responses file")
-        if isinstance(doc, list):
-            client = StubGenerator(responses=doc)
-        else:
-            client = StubGenerator(
-                responses=doc.get("responses", ()),
-                keyed=doc.get("keyed"),
-                default=doc.get("default"),
-            )
+        client = _load_stub(Path(args.stub_responses))
     else:
         client = HttpGenerator(config)
     result = run_pipeline(args.question, schema, args.db, config, client)

@@ -4,7 +4,9 @@ The planner follows the classic four-step 2-approximation of Kou, Markowsky
 and Berman (metric closure over the terminals, MST over the terminals,
 expansion back to original paths, pruning) plus an exact oracle for
 verification and two simpler baseline planners for benchmarking. The closure
-holds only the rows its caller reads: one Dijkstra run from each terminal.
+holds only the entries its caller reads: KMB reads the pair (a, b) from row a
+for a < b, so the solve runs one Dijkstra from every terminal but the last,
+and each run stops once every terminal is settled.
 The oracle enumerates Steiner-vertex subsets; when the terminals are few
 against the non-terminals it first takes the optimum cost from the
 Dreyfus–Wagner dynamic program and enumerates only over the vertices that lie
@@ -54,8 +56,15 @@ class GraphTooLargeError(SteinerError):
 
 
 def exact_total(costs: Iterable[float]) -> float:
-    """Sum edge costs exactly over their decimal representations."""
-    return float(sum((Fraction(repr(c)) for c in costs), start=Fraction(0)))
+    """Sum edge costs exactly over their decimal representations.
+
+    The decimal numerators are summed over their common denominator and
+    divided once; integer true division is correctly rounded, so the result
+    equals ``float`` of the exact rational sum.
+    """
+    ratios = [_decimal_ratio(c) for c in costs]
+    denominator = math.lcm(1, *(d for _n, d in ratios))
+    return sum(n * (denominator // d) for n, d in ratios) / denominator
 
 
 @dataclass(frozen=True)
@@ -63,36 +72,48 @@ class MetricClosure:
     """Shortest distances plus the reconstructed path, from each source vertex.
 
     ``keys[source][target]`` holds the (distance, hops, path) key of every
-    target reachable from ``source``; unreachable targets have no entry.
+    target the run from ``source`` settled. Without ``targets`` every row is
+    full: a vertex missing from it is unreachable. With ``targets`` each run
+    stopped once every target was settled; a target missing from a row is
+    still unreachable (the run drained its component looking for it), but a
+    query for any other vertex outside the row raises ``SteinerError``.
     """
 
     graph: SchemaGraph
     keys: dict[str, dict[str, PathKey]]
+    targets: Optional[frozenset[str]] = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
         return self.graph.vertices
 
-    def _row(self, u: str) -> dict[str, PathKey]:
+    def _key(self, u: str, v: str) -> Optional[PathKey]:
         row = self.keys.get(u)
         if row is None:
             raise SteinerError(f"metric closure has no row for source {u!r}")
-        return row
+        key = row.get(v)
+        if key is None and self.targets is not None and v not in self.targets:
+            raise SteinerError(
+                f"metric closure row {u!r} stopped before {v!r}, which is not a target"
+            )
+        return key
 
     def reachable(self, u: str, v: str) -> bool:
-        return v in self._row(u)
+        return self._key(u, v) is not None
 
     def distance(self, u: str, v: str) -> float:
-        key = self._row(u).get(v)
+        key = self._key(u, v)
         return key[0] if key is not None else float("inf")
 
     def path(self, u: str, v: str) -> Optional[tuple[str, ...]]:
-        key = self._row(u).get(v)
+        key = self._key(u, v)
         return key[2] if key is not None else None
 
 
 def metric_closure(
-    graph: SchemaGraph, sources: Optional[Iterable[str]] = None
+    graph: SchemaGraph,
+    sources: Optional[Iterable[str]] = None,
+    targets: Optional[Iterable[str]] = None,
 ) -> MetricClosure:
     """Shortest-path rows from ``sources`` (every vertex when None).
 
@@ -102,33 +123,54 @@ def metric_closure(
     lexicographically smallest vertex sequence. The key only grows along a
     path (weights are non-negative, hops grow by one) and extending two
     paths by the same edge keeps their order, so a vertex's key is final when
-    it leaves the heap. A key is pushed only when it beats the best known for
-    its vertex; comparing the path component adds cost only on exact ties.
+    it leaves the heap. When ``targets`` is given, each run stops as soon as
+    every target is settled (a run that cannot reach one drains its
+    component); when it is None, rows are full.
+
+    The heap holds (distance, hops, vertex) and each vertex keeps only its
+    best predecessor; a path tuple is built once, when its vertex settles.
+    Two candidates for a vertex with equal (distance, hops) have paths of one
+    length ending in that vertex, so comparing their predecessors' settled
+    paths orders them as the full key would. Vertices sharing a (distance,
+    hops) cannot improve one another (a path through one of them has more
+    hops), so the vertex order among such heap ties changes no settled key.
     """
     rows = graph.vertices if sources is None else sorted(set(sources))
-    return MetricClosure(graph, {s: _shortest_paths_from(graph, s) for s in rows})
+    wanted = None if targets is None else frozenset(targets)
+    return MetricClosure(
+        graph, {s: _shortest_paths_from(graph, s, wanted) for s in rows}, wanted
+    )
 
 
-def _shortest_paths_from(graph: SchemaGraph, source: str) -> dict[str, PathKey]:
-    start: PathKey = (0.0, 0, (source,))
-    best = {source: start}
+def _shortest_paths_from(
+    graph: SchemaGraph, source: str, targets: Optional[frozenset[str]]
+) -> dict[str, PathKey]:
     settled: dict[str, PathKey] = {}
-    heap = [start]  # a key's last path vertex is the vertex it reaches
+    best: dict[str, tuple[float, int, Optional[str]]] = {source: (0.0, 0, None)}
+    heap: list[tuple[float, int, str]] = [(0.0, 0, source)]
+    pending = None if targets is None else set(targets)
     while heap:
-        key = heapq.heappop(heap)
-        distance, hops, path = key
-        v = path[-1]
+        distance, hops, v = heapq.heappop(heap)
         if v in settled:
             continue  # a stale entry, superseded by a smaller key
-        settled[v] = key
+        pred = best[v][2]
+        path = (v,) if pred is None else settled[pred][2] + (v,)
+        settled[v] = (distance, hops, path)
+        if pending is not None:
+            pending.discard(v)
+            if not pending:
+                break
+        h = hops + 1
         for n, w in graph.weighted_neighbors(v):
             if n in settled:
                 continue
-            candidate = (distance + w, hops + 1, path + (n,))
+            d = distance + w
             current = best.get(n)
-            if current is None or candidate < current:
-                best[n] = candidate
-                heapq.heappush(heap, candidate)
+            if current is None or d < current[0] or (d == current[0] and h < current[1]):
+                best[n] = (d, h, v)
+                heapq.heappush(heap, (d, h, n))
+            elif d == current[0] and h == current[1] and path < settled[current[2]][2]:
+                best[n] = (d, h, v)  # the same heap entry, now through a smaller path
     return settled
 
 
@@ -250,6 +292,17 @@ def _require_mutually_reachable(graph: SchemaGraph, terminals: Sequence[str]) ->
         raise DisconnectedTerminalsError(groups)
 
 
+def _require_reachable_in_closure(closure: MetricClosure, terminals: Sequence[str]) -> None:
+    """Raise unless every terminal is in the closure row of the first one.
+
+    The terminals are mutually reachable exactly when they all are; the graph
+    is walked for the groups only on failure.
+    """
+    first = terminals[0]
+    if not all(closure.reachable(first, t) for t in terminals[1:]):
+        raise DisconnectedTerminalsError(_connected_groups(closure.graph.neighbors, terminals))
+
+
 def mst_on_terminals(
     closure: MetricClosure, terminals: Sequence[str]
 ) -> list[EdgeKey]:
@@ -257,7 +310,7 @@ def mst_on_terminals(
     terminals = tuple(sorted(set(terminals)))
     if len(terminals) <= 1:
         return []
-    _require_mutually_reachable(closure.graph, terminals)
+    _require_reachable_in_closure(closure, terminals)
     candidates = {
         (a, b): closure.distance(a, b)
         for i, a in enumerate(terminals)
@@ -328,7 +381,8 @@ def solve_steiner(graph: SchemaGraph, terminals: Sequence[str]) -> SteinerScaffo
     terminals = _check_terminals(graph, terminals)
     if len(terminals) == 1:
         return SteinerScaffold.build(terminals, {})
-    closure = metric_closure(graph, terminals)
+    # KMB reads row a only for pairs a < b, so the last terminal needs no row.
+    closure = metric_closure(graph, terminals[:-1], targets=terminals)
     mst = mst_on_terminals(closure, terminals)
     subgraph = expand_to_paths(mst, closure)
     return prune_to_tree(subgraph, terminals)
@@ -480,9 +534,9 @@ def baseline_shortest_path_combination(
     terminals = _check_terminals(graph, terminals)
     if len(terminals) == 1:
         return SteinerScaffold.build(terminals, {})
-    _require_mutually_reachable(graph, terminals)
     first = terminals[0]
-    closure = metric_closure(graph, [first])
+    closure = metric_closure(graph, [first], targets=terminals)
+    _require_reachable_in_closure(closure, terminals)
     subgraph: dict[EdgeKey, float] = {}
     for other in terminals[1:]:
         path = closure.path(first, other)

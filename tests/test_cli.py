@@ -399,6 +399,30 @@ def test_malformed_json_file_exits_1_naming_it(capsys, analytics_schema_file, tm
     assert "Traceback" not in err
 
 
+WRONG_SHAPE_JSON = {
+    "override-costs-edges-not-a-list": ("override-costs", {"edges": 1}),
+    "override-costs-without-edges": ("override-costs", {}),
+    "override-costs-edge-without-cost": (
+        "override-costs", {"edges": [{"a": "hits", "b": "totals"}]},
+    ),
+    "config-list": ("config", [1]),
+    "config-weights-list": ("config", {"weights": [1]}),
+    "stub-responses-number": ("stub-responses", 5),
+    "stub-responses-non-string-reply": ("stub-responses", {"responses": [5]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPE_JSON))
+def test_wrong_shape_json_file_exits_1_naming_it(capsys, analytics_schema_file, tmp_path, case):
+    source, content = WRONG_SHAPE_JSON[case]
+    bad = tmp_path / "shape.json"
+    bad.write_text(json.dumps(content), encoding="utf-8")
+    code, out, err = run_cli(capsys, *MALFORMED_JSON_COMMANDS[source](analytics_schema_file, bad))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {source} file {bad}: expected ")
+    assert "Traceback" not in err
+
+
 def test_graph_profile_schema_column_missing_from_database_exits_1(
     capsys, company_db, company_schema, tmp_path
 ):

@@ -155,9 +155,10 @@ def test_closure_reads_weights_from_the_weighted_adjacency(monkeypatch):
     assert metric_closure(g).keys == expected
 
 
-def test_traced_solve_counts_only_terminal_rows():
+def test_traced_solve_counts_only_the_closure_entries_kmb_reads(monkeypatch):
     # The traced benchmark run counts steiner.closure_entries by wrapping
-    # steiner.metric_closure; a solve must build the terminal rows only.
+    # steiner.metric_closure. A solve builds a row from every terminal but the
+    # last, and each run stops once every terminal is settled.
     graph = random_connected_graph(30, SplitMix64(7))
     terminals = ["v00", "v03", "v11", "v29"]
     spans = load_perfbench_spans()
@@ -169,8 +170,28 @@ def test_traced_solve_counts_only_terminal_rows():
     finally:
         rec.unpatch()
     full = metric_closure(graph)
-    expected = sum(len(full.keys[t]) for t in terminals)
-    assert rec.counters["setup"]["steiner.closure_entries"] == expected == 4 * 30
+
+    def settle_order(key):  # a run settles vertices in (distance, hops, vertex) order
+        return key[0], key[1], key[2][-1]
+
+    expected = 0
+    for source in terminals[:-1]:
+        row = full.keys[source]
+        last = max(settle_order(row[t]) for t in terminals)
+        expected += sum(settle_order(key) <= last for key in row.values())
+    counted = rec.counters["setup"]["steiner.closure_entries"]
+    assert counted == expected < (len(terminals) - 1) * len(graph.vertices)
+
+    built = []
+
+    def recording_closure(*args, **kwargs):
+        closure = metric_closure(*args, **kwargs)
+        built.append(set(closure.keys))
+        return closure
+
+    monkeypatch.setattr(steiner, "metric_closure", recording_closure)
+    steiner.solve_steiner(graph, terminals)
+    assert built == [set(terminals[:-1])]
 
 
 # ---------------------------------------------------------------------------

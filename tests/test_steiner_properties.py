@@ -218,6 +218,29 @@ def test_closure_source_rows_equal_full_closure_rows(seed, pick):
         assert partial.keys[source] == full.keys[source]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**48), st.integers(0, 2**48))
+def test_rows_stopped_at_targets_agree_with_full_rows(seed, pick):
+    graph = seeded_closure_graph(seed)
+    rng = SplitMix64(pick)
+    targets = set(rng.sample(graph.vertices, rng.randint(1, len(graph.vertices))))
+    full = metric_closure(graph)
+    stopped = metric_closure(graph, targets=targets)
+    assert set(stopped.keys) == set(graph.vertices)
+    for source in graph.vertices:
+        row, full_row = stopped.keys[source], full.keys[source]
+        assert all(full_row[v] == key for v, key in row.items())
+        for target in targets:
+            assert (target in row) == (target in full_row)  # reachability
+            assert stopped.reachable(source, target) == (target in full_row)
+            assert stopped.distance(source, target) == full.distance(source, target)
+            assert stopped.path(source, target) == full.path(source, target)
+        for other in set(graph.vertices) - set(row) - targets:
+            for query in (stopped.reachable, stopped.distance, stopped.path):
+                with pytest.raises(SteinerError, match="not a target"):
+                    query(source, other)
+
+
 @pytest.mark.parametrize("nodes", [20, 50, 80])
 def test_kmb_scaffold_equals_kmb_on_reference_closure(nodes):
     for seed in range(6):
@@ -228,6 +251,24 @@ def test_kmb_scaffold_equals_kmb_on_reference_closure(nodes):
         subgraph = expand_to_paths(mst_on_terminals(reference, terminals), reference)
         expected = scaffold_document(prune_to_tree(subgraph, terminals))
         assert scaffold_document(solve_steiner(graph, terminals)) == expected
+
+
+def fraction_total(costs) -> float:
+    """Reference exact total: the former ``exact_total``, one Fraction per cost."""
+    return float(sum((Fraction(repr(c)) for c in costs), start=Fraction(0)))
+
+
+COST_VALUES = st.one_of(
+    st.floats(min_value=-1e5, max_value=1e5),
+    st.floats(min_value=0, max_value=1e-8),
+    st.sampled_from([1 / 3, 2 / 3, 0.1, 0.2, 0.3, 1e-9 / 3, 12345.678901]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(COST_VALUES, max_size=12))
+def test_exact_total_equals_the_fraction_sum(costs):
+    assert exact_total(costs).hex() == fraction_total(costs).hex()
 
 
 # ---------------------------------------------------------------------------
