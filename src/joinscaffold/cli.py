@@ -45,6 +45,7 @@ from .schema import (
 )
 from .sqlcheck import InfrastructureError, report_document, validate_all
 from .steiner import (
+    MAX_ORACLE_VERTICES,
     DisconnectedTerminalsError,
     SteinerError,
     exact_steiner_oracle,
@@ -105,7 +106,7 @@ def _is_override_edge(edge) -> bool:
     )
 
 
-def _load_overrides(path_text: Optional[str]) -> Optional[dict]:
+def _load_overrides(path_text: Optional[str], schema: Schema) -> Optional[dict]:
     if not path_text:
         return None
     path = Path(path_text)
@@ -116,7 +117,13 @@ def _load_overrides(path_text: Optional[str]) -> Optional[dict]:
             f"override-costs file {path}: expected an object with an \"edges\" list "
             'of {"a": table, "b": table, "cost": number} objects'
         )
-    return {(e["a"], e["b"]): float(e["cost"]) for e in edges}
+    overrides = {}
+    for e in edges:
+        a, b = schema.resolve_table(e["a"]), schema.resolve_table(e["b"])
+        if a is None or b is None or a == b:
+            raise CliError(f"override-costs file {path}: {e['a']!r} and {e['b']!r} are not two tables")
+        overrides[a, b] = float(e["cost"])
+    return overrides
 
 
 def _load_stub(path: Path) -> StubGenerator:
@@ -181,9 +188,12 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
         weights = dataclasses.replace(CostWeights(), **weight_fields)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid weights: {exc}") from exc
-    if values.get("template_dir"):
-        values["template_dir"] = Path(values["template_dir"])
-    return PipelineConfig(weights=weights, **values)
+    try:
+        if values.get("template_dir"):
+            values["template_dir"] = Path(values["template_dir"])
+        return PipelineConfig(weights=weights, **values)
+    except (TypeError, ValueError) as exc:  # only config-file values can fail here
+        raise CliError(f"config file {config_path}: {exc}") from exc
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -218,11 +228,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
     if _maybe_show_config(args, config):
         return EXIT_OK
     schema = _load_schema_input(args.schema)
+    overrides = _load_overrides(args.override_costs, schema)
     stats = None
     if args.db and args.profile:
         pairs = candidate_join_pairs(schema, config.weights)
         stats = profile_statistics(schema, args.db, config.sample_limit, pairs)
-    overrides = _load_overrides(args.override_costs)
     graph = build_schema_graph(
         schema, stats, config.weights, cost_overrides=overrides
     )
@@ -253,7 +263,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             graph = load_graph_document(path.read_text(encoding="utf-8"))
     if graph is None:
         schema = _load_schema_input(args.input)
-        overrides = _load_overrides(args.override_costs)
+        overrides = _load_overrides(args.override_costs, schema)
         graph = build_schema_graph(
             schema, None, config.weights, cost_overrides=overrides
         )
@@ -334,8 +344,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     if _maybe_show_config(args, config):
         return EXIT_OK
-    if args.nodes > 14 and not args.hub_family:
-        raise CliError("bench is oracle-verified; --nodes must be <= 14")
+    if args.nodes > MAX_ORACLE_VERTICES and not args.hub_family:
+        raise CliError(f"bench is oracle-verified; --nodes must be <= {MAX_ORACLE_VERTICES}")
     rows = run_bench(
         seeds=args.seeds,
         nodes=args.nodes,

@@ -385,13 +385,12 @@ def _admitted_pairs(
     if len(names) < 2:
         return
     tables = [schema.table(n) for n in names]
-    fk_pairs = {edge_key(fk.from_table, fk.to_table) for fk in schema.foreign_keys}
     screened = _screened_similarity(tables, weights, vectors)
     floor = weights.tau - SCREEN_MARGIN
     for i, (a, ti) in enumerate(zip(names, tables)):
         for j in range(i + 1, len(names)):
             b, tj = names[j], tables[j]
-            has_fk = (a, b) in fk_pairs
+            has_fk = schema.has_fk(a, b)
             if not has_fk and screened[i, j] < floor:
                 continue  # cannot reach tau
             s, best_pair = table_similarity(ti, tj, weights, vectors)

@@ -457,20 +457,8 @@ def find_containing_tables(
 # --------------------------------------------------------------------------
 
 
-def fk_only_adjacency(schema: Schema) -> dict[str, tuple[str, ...]]:
-    """Unweighted FK-edges-only adjacency used for join-path discovery."""
-    adj: dict[str, set[str]] = {t: set() for t in schema.table_names}
-    for fk in schema.foreign_keys:
-        if fk.from_table != fk.to_table:
-            adj[fk.from_table].add(fk.to_table)
-            adj[fk.to_table].add(fk.from_table)
-    return {t: tuple(sorted(ns)) for t, ns in adj.items()}
-
-
-def _fk_shortest_path(
-    adjacency: dict[str, tuple[str, ...]], start: str, goal: str
-) -> Optional[list[str]]:
-    """BFS shortest path; sorted adjacency keeps the choice deterministic."""
+def _fk_shortest_path(schema: Schema, start: str, goal: str) -> Optional[list[str]]:
+    """BFS shortest path over FK links; sorted neighbours keep it deterministic."""
     if start == goal:
         return [start]
     from collections import deque
@@ -479,7 +467,7 @@ def _fk_shortest_path(
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for n in adjacency.get(v, ()):
+        for n in schema.fk_neighbors[v]:
             if n not in parent:
                 parent[n] = v
                 if n == goal:
@@ -508,7 +496,6 @@ def analyze_dependencies(
     question: str,
     entities: Sequence[MathEntity],
     schema: Schema,
-    fk_graph: Optional[dict[str, tuple[str, ...]]] = None,
     weights: CostWeights = DEFAULT_WEIGHTS,
     provider: Optional[EmbeddingProvider] = None,
 ) -> DecompositionResult:
@@ -520,8 +507,6 @@ def analyze_dependencies(
     date literals falling back to date/timestamp-typed columns.
     """
     provider = provider or default_provider()
-    if fk_graph is None:
-        fk_graph = fk_only_adjacency(schema)
 
     entity_ids = tuple(f"e{i}" for i in range(len(entities)))
     edges: list[tuple[str, str, str]] = []
@@ -567,7 +552,7 @@ def analyze_dependencies(
                 if a != b:
                     required.add((min(a, b), max(a, b)))
         for a, b in sorted(required):
-            path = _fk_shortest_path(fk_graph, a, b)
+            path = _fk_shortest_path(schema, a, b)
             if path is None:
                 continue
             for t in path[1:-1]:
@@ -624,7 +609,7 @@ def decompose_question(
 ) -> DecompositionResult:
     """Extraction plus dependency analysis in one call."""
     entities = extract_entities(question)
-    return analyze_dependencies(question, entities, schema, None, weights, provider)
+    return analyze_dependencies(question, entities, schema, weights, provider)
 
 
 _LLM_EXTRACTION_PROMPT = """\

@@ -17,7 +17,6 @@ nor repel the planner.
 from __future__ import annotations
 
 import sqlite3
-import string
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -28,6 +27,7 @@ from .schema import (
     Schema,
     SchemaError,
     connect_read_only,
+    fold_name,
     quote_identifier,
     table_info,
     user_tables,
@@ -83,14 +83,6 @@ class StatsProfile:
     def table_pair_stats(self, ta: str, tb: str) -> Optional[PairStats]:
         """Best-selectivity stats over any profiled column pair of two tables."""
         return self._by_table_pair.get((min(ta, tb), max(ta, tb)))
-
-
-# SQLite matches identifiers ignoring the case of ASCII letters only.
-_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
-
-
-def _fold_case(name: str) -> str:
-    return name.translate(_ASCII_LOWER)
 
 
 def _sample_table(
@@ -211,17 +203,17 @@ def profile_statistics(
 
     conn = connect_read_only(path)
     try:
-        present = set(user_tables(conn))
-        missing = [t.name for t in schema.tables if t.name not in present]
+        present = {fold_name(name) for name in user_tables(conn)}
+        missing = [t.name for t in schema.tables if fold_name(t.name) not in present]
         if missing:
             raise SchemaError(f"schema/database mismatch: missing tables {missing}")
         # SQLite reads an unknown double-quoted column name as a string
         # literal, so sampling a missing column would not fail on its own.
         missing = []
         for t in schema.tables:
-            present = {_fold_case(row[1]) for row in table_info(conn, t.name)}
+            present = {fold_name(row[1]) for row in table_info(conn, t.name)}
             missing += [f"{t.name}.{c.name}" for c in t.columns
-                        if _fold_case(c.name) not in present]
+                        if fold_name(c.name) not in present]
         if missing:
             raise SchemaError(f"schema/database mismatch: missing columns {missing}")
 

@@ -5,6 +5,11 @@ from a JSON schema document. Declared column types are normalized through a
 fixed, case-insensitive mapping so type-compatibility checks are reproducible
 regardless of the vendor spelling in the source.
 
+Names follow SQLite's rule, which folds the case of ASCII letters only
+(:func:`fold_name`): ``Orders`` and ``orders`` name one table, ``Äpfel`` and
+``äpfel`` two. Tables, or one table's columns, whose names are one under the
+fold are rejected. :class:`Schema` alone resolves names and answers FK lookups.
+
 Type mapping (first matching rule wins, matching is on the upper-cased raw
 string):
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import string
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -58,6 +64,14 @@ _TYPE_RULES = (
 
 class SchemaError(ValueError):
     """Raised for unreadable, malformed, or inconsistent schema inputs."""
+
+
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def fold_name(name: str) -> str:
+    """``name`` as SQLite compares identifiers: only ASCII letters lower-cased."""
+    return name.translate(_ASCII_LOWER)
 
 
 def map_declared_type(raw: str) -> str:
@@ -95,8 +109,7 @@ class TableDef:
             raise SchemaError("table name must be non-empty")
         if not self.columns:
             raise SchemaError(f"table {self.name!r} has no columns")
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
+        if len({fold_name(c.name) for c in self.columns}) != len(self.columns):
             raise SchemaError(f"duplicate column name in table {self.name!r}")
         if self.row_count is not None and self.row_count < 0:
             raise SchemaError("row_count must be non-negative")
@@ -123,27 +136,33 @@ class ForeignKey:
 class Schema:
     """Immutable schema: tables in sorted order plus declared foreign keys.
 
-    ``column_owners`` maps each column name to its ``(table, column)`` pairs,
-    in table order. It is derived from ``tables``, so it takes no part in
-    equality, hashing or ``repr``.
+    ``column_owners`` maps each column name to its ``(table, column)`` pairs in
+    table order, ``fk_neighbors`` each table to the sorted other tables an FK
+    links it to. Derived, they take no part in equality, hashing or ``repr``.
     """
 
     tables: tuple[TableDef, ...]
     foreign_keys: tuple[ForeignKey, ...] = ()
     _index: dict = field(default_factory=dict, repr=False, compare=False)
     column_owners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    fk_neighbors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _folded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [t.name for t in self.tables]
-        if len(set(names)) != len(names):
+        folded = {fold_name(t.name): t.name for t in self.tables}
+        if len(folded) != len(self.tables):
             raise SchemaError("duplicate table names")
         index = {t.name: t for t in self.tables}
+        fks: dict[tuple[str, str], tuple[ForeignKey, ...]] = {}  # in foreign_keys order
         for fk in self.foreign_keys:
             for tbl, col in ((fk.from_table, fk.from_column), (fk.to_table, fk.to_column)):
                 if tbl not in index:
                     raise SchemaError(f"dangling foreign key: table {tbl!r} not in schema")
                 if not index[tbl].has_column(col):
                     raise SchemaError(f"dangling foreign key: column {tbl}.{col} not in schema")
+            key = tuple(sorted((fk.from_table, fk.to_table)))
+            fks[key] = fks.get(key, ()) + (fk,)
         object.__setattr__(self, "_index", index)
         owners: dict[str, list[tuple[str, str]]] = {}
         for t in self.tables:
@@ -152,6 +171,14 @@ class Schema:
         object.__setattr__(
             self, "column_owners", {name: tuple(pairs) for name, pairs in owners.items()}
         )
+        neighbors: dict[str, list[str]] = {name: [] for name in index}
+        for a, b in fks:
+            if a != b:
+                neighbors[a].append(b)
+                neighbors[b].append(a)
+        object.__setattr__(self, "fk_neighbors", {t: tuple(sorted(n)) for t, n in neighbors.items()})
+        object.__setattr__(self, "_folded", folded)
+        object.__setattr__(self, "_fks", fks)
 
     @property
     def table_names(self) -> tuple[str, ...]:
@@ -166,13 +193,13 @@ class Schema:
     def has_table(self, name: str) -> bool:
         return name in self._index
 
+    def resolve_table(self, name: str) -> Optional[str]:
+        """The table SQLite reads ``name`` as (see :func:`fold_name`), or None."""
+        return self._folded.get(fold_name(name))
+
     def fk_between(self, a: str, b: str) -> tuple[ForeignKey, ...]:
         """Foreign keys linking tables ``a`` and ``b`` in either direction."""
-        return tuple(
-            fk
-            for fk in self.foreign_keys
-            if {fk.from_table, fk.to_table} == {a, b}
-        )
+        return self._fks.get((a, b) if a <= b else (b, a), ())
 
     def has_fk(self, a: str, b: str) -> bool:
         return bool(self.fk_between(a, b))
@@ -241,8 +268,6 @@ def load_schema_from_database(path: Union[str, Path]) -> Schema:
         names = user_tables(conn)
         if not names:
             raise SchemaError(f"no user tables in {path}")
-        if len({n.lower() for n in names}) != len(names):
-            raise SchemaError("duplicate table names")
         cur = conn.cursor()
         tables = []
         fks = []

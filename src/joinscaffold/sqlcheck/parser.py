@@ -57,13 +57,14 @@ class Token:
     offset: int
 
 
+# As in SQLite: ASCII-only spaces and digits; any non-ASCII character is name text.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|--[^\n]*|/\*.*?\*/)
+    (?P<ws>[ \t\n\f\r]+|--[^\n]*|/\*.*?\*/)
   | (?P<string>'(?:[^']|'')*')
   | (?P<qident>"[^"]*"|`[^`]*`|\[[^\]]*\])
-  | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_$]*)
+  | (?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+)
+  | (?P<word>[A-Za-z_\u0080-\U0010ffff][A-Za-z0-9_$\u0080-\U0010ffff]*)
   | (?P<op>>=|<=|<>|!=|\|\||[=><+\-*/%(),.;])
     """,
     re.VERBOSE | re.DOTALL,
@@ -82,8 +83,8 @@ def tokenize(text: str) -> list[Token]:
             continue
         value = m.group()
         if m.lastgroup == "word":
-            upper = value.upper()
-            kind = "KEYWORD" if upper in _KEYWORDS else "IDENT"
+            upper = value.upper()  # maps ``ſ`` to ``S``; SQLite keywords are ASCII
+            kind = "KEYWORD" if value.isascii() and upper in _KEYWORDS else "IDENT"
             tokens.append(Token(kind, upper if kind == "KEYWORD" else value, pos))
         elif m.lastgroup == "qident":
             tokens.append(Token("IDENT", value[1:-1], pos))

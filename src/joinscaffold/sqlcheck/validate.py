@@ -24,7 +24,7 @@ from ..canonical import canonical_json
 from ..costs import CostWeights, DEFAULT_WEIGHTS
 from ..decompose import MathEntity, TerminalSet, matching_names
 from ..embedding import EmbeddingProvider, default_provider
-from ..schema import Schema, SchemaError, connect_read_only
+from ..schema import Schema, SchemaError, connect_read_only, fold_name
 from ..steiner import SteinerScaffold
 from .parser import (
     BetweenOp,
@@ -141,37 +141,30 @@ def validate_execution(sql: str, db_path: Union[str, Path]) -> ValidationReport:
 
 
 class _Binding:
-    """Resolves alias/table qualifiers and bare columns against the query."""
+    """Resolves alias/table qualifiers and bare columns as SQLite reads them."""
 
-    def __init__(self, ast: Query, schema: Optional[Schema]):
+    def __init__(self, ast: Query, schema: Schema):
         self.schema = schema
         self.alias_to_table: dict[str, str] = {}
         self.base_tables: list[str] = []
         for ref in ast.all_tables():
-            resolved = self._resolve_schema_table(ref.name)
+            resolved = schema.resolve_table(ref.name) or ref.name
             self.base_tables.append(resolved)
-            self.alias_to_table[ref.binding_name().lower()] = resolved
-            self.alias_to_table.setdefault(ref.name.lower(), resolved)
-
-    def _resolve_schema_table(self, name: str) -> str:
-        if self.schema is not None:
-            for t in self.schema.table_names:
-                if t.lower() == name.lower():
-                    return t
-        return name
+            self.alias_to_table[fold_name(ref.binding_name())] = resolved
+            self.alias_to_table.setdefault(fold_name(ref.name), resolved)
 
     def table_of(self, col: ColumnRef) -> Optional[str]:
         if col.qualifier:
-            return self.alias_to_table.get(col.qualifier.lower())
-        if self.schema is not None:
-            owners = [
-                t
-                for t in dict.fromkeys(self.base_tables)
-                if self.schema.has_table(t)
-                and any(c.name.lower() == col.name.lower() for c in self.schema.table(t).columns)
-            ]
-            if len(owners) == 1:
-                return owners[0]
+            return self.alias_to_table.get(fold_name(col.qualifier))
+        name = fold_name(col.name)
+        owners = [
+            t
+            for t in dict.fromkeys(self.base_tables)
+            if self.schema.has_table(t)
+            and any(fold_name(c.name) == name for c in self.schema.table(t).columns)
+        ]
+        if len(owners) == 1:
+            return owners[0]
         if len(set(self.base_tables)) == 1:
             return self.base_tables[0]
         return None
@@ -208,18 +201,17 @@ def validate_semantic(
     ast: Query,
     terminals: TerminalSet,
     scaffold: Optional[SteinerScaffold],
-    entities: Sequence[MathEntity] = (),
-    schema: Optional[Schema] = None,
+    entities: Sequence[MathEntity],
+    schema: Schema,
     weights: CostWeights = DEFAULT_WEIGHTS,
     provider: Optional[EmbeddingProvider] = None,
 ) -> tuple[bool, list[Violation]]:
     provider = provider or default_provider()
     violations: list[Violation] = []
     binding = _Binding(ast, schema)
-    present = {t.lower() for t in binding.base_tables}
 
     for terminal in terminals.tables:
-        if terminal.lower() not in present:
+        if (schema.resolve_table(terminal) or terminal) not in binding.base_tables:
             violations.append(
                 Violation(
                     2,
@@ -231,10 +223,7 @@ def validate_semantic(
 
     scaffold_pairs = scaffold.edge_pairs() if scaffold is not None else set()
     for ta, tb, rendered in _join_column_pairs(ast, binding):
-        allowed = (ta, tb) in scaffold_pairs
-        if not allowed and schema is not None:
-            allowed = schema.has_fk(ta, tb)
-        if not allowed:
+        if not ((ta, tb) in scaffold_pairs or schema.has_fk(ta, tb)):
             violations.append(
                 Violation(
                     2,
@@ -246,7 +235,7 @@ def validate_semantic(
 
     referenced_names = [c.name for c in _all_query_columns(ast)]
     referenced_names += [item.alias for item in ast.select_items if item.alias]
-    schema_columns = list(schema.column_owners) if schema is not None else None
+    schema_columns = list(schema.column_owners)
     seen_phrases: set[str] = set()
     for entity in entities:
         for phrase in entity.target_attributes:
@@ -258,9 +247,7 @@ def validate_semantic(
             # Only resolvable attributes can be demanded of the query; a
             # phrase matching no schema column is reported by decomposition
             # as unmatched, not here.
-            if schema_columns is not None and not matching_names(
-                phrase, schema_columns, weights, provider
-            ):
+            if not matching_names(phrase, schema_columns, weights, provider):
                 continue
             violations.append(
                 Violation(
@@ -309,7 +296,7 @@ def _groupby_violations(ast: Query) -> list[Violation]:
     if not has_aggregate and not ast.group_by:
         return []
 
-    group_cols = {c.name.lower() for expr in ast.group_by for c in [expr] if isinstance(expr, ColumnRef)}
+    group_cols = {fold_name(e.name) for e in ast.group_by if isinstance(e, ColumnRef)}
     group_prints = {_expr_fingerprint(e) for e in ast.group_by}
     violations = []
     for item in ast.select_items:
@@ -326,13 +313,13 @@ def _groupby_violations(ast: Query) -> list[Violation]:
             continue
         if aggregates_in(expr):
             continue
-        if item.alias and item.alias.lower() in group_cols:
+        if item.alias and fold_name(item.alias) in group_cols:
             continue
         if _expr_fingerprint(expr) in group_prints:
             continue
-        offending = [c for c in columns_in(expr) if c.name.lower() not in group_cols]
+        offending = [c for c in columns_in(expr) if fold_name(c.name) not in group_cols]
         if isinstance(expr, ColumnRef):
-            if expr.name.lower() not in group_cols:
+            if fold_name(expr.name) not in group_cols:
                 violations.append(
                     Violation(
                         3,
@@ -596,8 +583,8 @@ def validate_all(
     db_path: Union[str, Path],
     terminals: TerminalSet,
     scaffold: Optional[SteinerScaffold],
-    entities: Sequence[MathEntity] = (),
-    schema: Optional[Schema] = None,
+    entities: Sequence[MathEntity],
+    schema: Schema,
     weights: CostWeights = DEFAULT_WEIGHTS,
     provider: Optional[EmbeddingProvider] = None,
 ) -> ValidationReport:

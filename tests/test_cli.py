@@ -346,9 +346,9 @@ def test_run_config_file_rejects_zero_counts(
         "--config", config_file,
         "--stub-responses", stub_file,
     )
-    assert code == 2
+    assert code == 1
     assert out == ""
-    assert f"{field} must be an integer of at least 1" in err
+    assert f"config file {config_file}: {field} must be an integer of at least 1" in err
 
 
 def test_graph_profile_missing_database_exits_1(capsys, analytics_schema_file, tmp_path):
@@ -421,6 +421,53 @@ def test_wrong_shape_json_file_exits_1_naming_it(capsys, analytics_schema_file, 
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {source} file {bad}: expected ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tables", [
+    [{"name": n, "columns": [{"name": "id", "type": "INTEGER"}]} for n in ("Orders", "orders")],
+    [{"name": "t", "columns": [{"name": n, "type": "INTEGER"} for n in ("id", "ID")]}],
+], ids=["tables", "columns"])
+def test_names_equal_under_sqlite_case_fold_exit_1(capsys, tmp_path, tables):
+    schema_file = tmp_path / "s.json"
+    schema_file.write_text(json.dumps({"tables": tables}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "graph", schema_file)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: duplicate ")
+
+
+@pytest.mark.parametrize("command", ["graph", "solve"])
+@pytest.mark.parametrize("pair", [("hits", "nope"), ("hits", "HITS")], ids=["unknown", "self"])
+def test_override_costs_pairing_no_two_schema_tables_exit_1(
+    capsys, analytics_schema_file, tmp_path, command, pair
+):
+    bad = tmp_path / "o.json"
+    bad.write_text(json.dumps({"edges": [{"a": pair[0], "b": pair[1], "cost": 0.5}]}))
+    terminals = ["--terminals", "hits"] if command == "solve" else []
+    code, out, err = run_cli(
+        capsys, command, analytics_schema_file, "--override-costs", bad, *terminals
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: override-costs file {bad}: ")
+
+
+def test_override_costs_name_tables_as_sqlite_reads_them(capsys, analytics_schema_file, tmp_path):
+    pins = tmp_path / "o.json"
+    pins.write_text(json.dumps({"edges": [{"a": "GA_Sessions", "b": "HITS", "cost": 0.5}]}))
+    code, out, _err = run_cli(capsys, "graph", analytics_schema_file, "--override-costs", pins)
+    assert code == 0
+    totals = {(e["a"], e["b"]): e["total"] for e in json.loads(out)["edges"]}
+    assert totals[("ga_sessions", "hits")] == 0.5
+
+
+@pytest.mark.parametrize("field, value", [("max_iterations", "x"), ("template_dir", 5)])
+def test_config_value_of_a_wrong_type_exits_1_naming_the_file(
+    capsys, analytics_schema_file, tmp_path, field, value
+):
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps({field: value}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "graph", analytics_schema_file, "--config", config_file)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: config file {config_file}: ")
 
 
 def test_graph_profile_schema_column_missing_from_database_exits_1(

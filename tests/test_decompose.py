@@ -19,11 +19,16 @@ from joinscaffold.decompose import (
     decomposition_document,
     extract_entities,
     find_containing_tables,
-    fk_only_adjacency,
     matching_names,
 )
 from joinscaffold.embedding import cosine01
-from joinscaffold.schema import ColumnDef, Schema, TableDef, load_schema_from_document
+from joinscaffold.schema import (
+    ColumnDef,
+    Schema,
+    TableDef,
+    fold_name,
+    load_schema_from_document,
+)
 
 
 def entity_index(entities):
@@ -267,8 +272,10 @@ def test_find_containing_tables_agrees_with_the_scalar_reference(case, phrases, 
     phrase, names, provider = case
     tables = []
     for i in range(3):
-        # each table owns a subset of the names, so a name can have many owners
-        own = data.draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+        # each table owns a subset of the names, so a name can have many
+        # owners; no two of one table's names differ only in ASCII case,
+        # which SQLite would read as one column
+        own = data.draw(st.lists(st.sampled_from(names), unique_by=fold_name)) if names else []
         tables.append(TableDef(f"t{i}", tuple(ColumnDef(n, "text") for n in own) or (
             ColumnDef("other", "text"),
         )))
@@ -430,7 +437,7 @@ def test_terminal_reasons_unique(analytics_schema):
 
 
 def test_fk_only_adjacency(analytics_schema):
-    adj = fk_only_adjacency(analytics_schema)
+    adj = analytics_schema.fk_neighbors
     assert adj["ga_sessions"] == ("hits", "totals")
     assert adj["hits"] == ("ga_sessions",)
 

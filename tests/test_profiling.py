@@ -128,6 +128,16 @@ def test_schema_column_missing_from_the_database(stats_db):
     assert profile.pair_stats("children", "tag", "parents", "LABEL").selectivity == 1.0
 
 
+def test_table_named_in_another_ascii_case_profiles(stats_db):
+    # SQLite reads "PARENTS" as the table parents, so profiling does too.
+    doc = serialize_schema_document(load_schema_from_database(stats_db))
+    schema = load_schema_from_document(doc.replace('"parents"', '"PARENTS"'))
+    assert "PARENTS" in schema.table_names
+    pair = ("PARENTS", "id", "children", "parent_id")
+    profile = profile_statistics(schema, stats_db, pairs=[pair])
+    assert profile.pair_stats(*pair).selectivity == 1.0
+
+
 def test_sample_limit_positive(stats_db):
     schema = load_schema_from_database(stats_db)
     with pytest.raises(ValueError):

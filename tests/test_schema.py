@@ -1,3 +1,4 @@
+import json
 import sqlite3
 
 import pytest
@@ -171,11 +172,27 @@ def test_duplicate_table_names_rejected():
     cols = (ColumnDef("x", "integer"),)
     with pytest.raises(SchemaError, match="duplicate table"):
         Schema((TableDef("a", cols), TableDef("a", cols)))
+    # SQLite folds ASCII case, so no database holds both of these...
+    with pytest.raises(SchemaError, match="duplicate table"):
+        load_schema_from_document(json.dumps({"tables": [
+            {"name": name, "columns": [{"name": "x", "type": "INTEGER"}]}
+            for name in ("Orders", "orders")
+        ]}))
+    # ...and it folds no other letter, so one database can hold both of these.
+    schema = Schema((TableDef("Äpfel", cols), TableDef("äpfel", cols)))
+    assert schema.resolve_table("ÄPFEL") == "Äpfel"
+    assert schema.resolve_table("äpfel") == "äpfel"
+    assert schema.resolve_table("apfel") is None
 
 
 def test_duplicate_column_names_rejected():
     with pytest.raises(SchemaError, match="duplicate column"):
         TableDef("t", (ColumnDef("x", "integer"), ColumnDef("x", "text")))
+    with pytest.raises(SchemaError, match="duplicate column"):
+        load_schema_from_document(json.dumps({"tables": [{"name": "t", "columns": [
+            {"name": "id", "type": "INTEGER"}, {"name": "ID", "type": "TEXT"},
+        ]}]}))
+    TableDef("t", (ColumnDef("größe", "real"), ColumnDef("GRÖßE", "real")))
 
 
 def test_table_requires_columns():
@@ -193,3 +210,36 @@ def test_fk_lookup_is_direction_agnostic():
     )
     assert schema.has_fk("a", "b") and schema.has_fk("b", "a")
     assert not schema.has_fk("a", "a")
+
+
+SELF_AND_PARALLEL_FKS = Schema(
+    (
+        TableDef("a", (ColumnDef("id", "integer", True), ColumnDef("up", "integer"))),
+        TableDef("b", (ColumnDef("a1", "integer"), ColumnDef("a2", "integer"))),
+        TableDef("c", (ColumnDef("x", "integer"),)),
+    ),
+    (
+        ForeignKey("a", "up", "a", "id"),
+        ForeignKey("b", "a2", "a", "id"),
+        ForeignKey("b", "a1", "a", "id"),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["analytics_schema", "collectors_schema", "company_schema", "self_and_parallel"]
+)
+def test_fk_lookups_match_a_linear_scan(request, fixture):
+    if fixture == "self_and_parallel":
+        schema = SELF_AND_PARALLEL_FKS
+    else:
+        schema = request.getfixturevalue(fixture)
+    fks = schema.foreign_keys
+    for a in schema.table_names:
+        for b in schema.table_names:
+            expected = tuple(fk for fk in fks if {fk.from_table, fk.to_table} == {a, b})
+            assert schema.fk_between(a, b) == expected
+            assert schema.has_fk(a, b) == bool(expected)
+        linked = {t for fk in fks if a in (fk.from_table, fk.to_table)
+                  for t in (fk.from_table, fk.to_table)}
+        assert schema.fk_neighbors[a] == tuple(sorted(linked - {a}))

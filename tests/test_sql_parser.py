@@ -25,6 +25,7 @@ from joinscaffold.sqlcheck.parser import (
     columns_in,
     expression_depth,
     parse_sql,
+    tokenize,
     walk,
 )
 
@@ -170,6 +171,17 @@ def test_quoted_identifiers_and_strings():
     names = [item.expr.name for item in ast.select_items]
     assert names == ["odd name", "tick", "brack"]
     assert ast.where.right == Literal("string", "it's")
+
+
+def test_bare_identifiers_take_non_ascii_characters_as_sqlite_does():
+    ast = parse_sql("SELECT größe FROM äpfel WHERE ٣ > 1")
+    assert ast.select_items[0].expr == ColumnRef(None, "größe")
+    assert ast.from_tables[0].name == "äpfel"
+    assert ast.where.left == ColumnRef(None, "٣")  # only ASCII digits make numbers
+    # str.upper turns "ſelect" into "SELECT", but SQLite reads it as a name.
+    assert [(t.kind, t.value) for t in tokenize("ſelect a\u00a0b")[:2]] == [
+        ("IDENT", "ſelect"), ("IDENT", "a\u00a0b"),
+    ]
 
 
 def test_columns_in_collects_nested():

@@ -1,3 +1,5 @@
+import sqlite3
+
 import pytest
 
 import golden
@@ -5,6 +7,7 @@ import validator_corpus as corpus
 
 from joinscaffold.costs import build_schema_graph
 from joinscaffold.decompose import MathEntity, TerminalSet, decompose_question
+from joinscaffold.schema import load_schema_from_database
 from joinscaffold.sqlcheck import (
     InfrastructureError,
     parse_sql,
@@ -69,7 +72,7 @@ def test_execution_infrastructure_error(tmp_path):
 def test_missing_terminal_detected(company_schema):
     ast = parse_sql("SELECT name FROM employees")
     ok, violations = validate_semantic(
-        ast, corpus.TERMINALS, corpus.SCAFFOLD, schema=company_schema
+        ast, corpus.TERMINALS, corpus.SCAFFOLD, (), company_schema
     )
     assert not ok
     assert violations[0].code == "MISSING_TERMINAL"
@@ -84,7 +87,7 @@ def test_irrelevant_join_detected(company_schema):
     )
     terminals = TerminalSet.from_pairs([("employees", "direct-reference")])
     ok, violations = validate_semantic(
-        ast, terminals, corpus.SCAFFOLD, schema=company_schema
+        ast, terminals, corpus.SCAFFOLD, (), company_schema
     )
     codes = {v.code for v in violations}
     assert "IRRELEVANT_JOIN" in codes
@@ -97,7 +100,7 @@ def test_fk_join_is_relevant_without_scaffold(company_schema):
         "SELECT e.name FROM employees e JOIN departments d ON e.dept_id = d.dept_id"
     )
     terminals = TerminalSet.from_pairs([("employees", "direct-reference")])
-    ok, violations = validate_semantic(ast, terminals, None, schema=company_schema)
+    ok, violations = validate_semantic(ast, terminals, None, (), company_schema)
     assert ok
 
 
@@ -308,3 +311,46 @@ def test_golden_query_passes_all_levels(analytics_schema, analytics_db):
     assert report.level2 is True, report
     assert report.level3 is True, report
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# names as SQLite reads them
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def apfel_db(tmp_path):
+    # SQLite folds the case of ASCII letters only, so these are two tables.
+    path = tmp_path / "apfel.db"
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE "Äpfel" (m INTEGER, größe REAL);
+        CREATE TABLE "äpfel" (m INTEGER, größe REAL);
+        INSERT INTO "äpfel" VALUES (1, 2.5);
+        """
+    )
+    conn.commit()
+    conn.close()
+    return path
+
+
+def test_tables_equal_beyond_ascii_case_are_told_apart(apfel_db):
+    schema = load_schema_from_database(apfel_db)
+    assert schema.table_names == ("Äpfel", "äpfel")
+    terminals = TerminalSet.from_pairs([("Äpfel", "direct-reference")])
+    report = validate_all('SELECT m FROM "äpfel"', apfel_db, terminals, None, (), schema)
+    assert report.level1 is True and report.level2 is False
+    assert [v.subject for v in report.by_code("MISSING_TERMINAL")] == ["Äpfel"]
+    # "ÄPFEL" differs from "Äpfel" in ASCII case only, so it names that table.
+    report = validate_all('SELECT m FROM "ÄPFEL"', apfel_db, terminals, None, (), schema)
+    assert report.ok and not report.violations
+
+
+def test_bare_non_ascii_identifiers_reach_levels_2_and_3(apfel_db):
+    schema = load_schema_from_database(apfel_db)
+    terminals = TerminalSet.from_pairs([("äpfel", "direct-reference")])
+    sql = "SELECT m, SUM(größe) FROM äpfel GROUP BY M"
+    report = validate_all(sql, apfel_db, terminals, None, (), schema)
+    assert (report.level1, report.level2, report.level3) == (True, True, True)
+    assert report.notes == () and report.row_count == 1
