@@ -284,6 +284,22 @@ class ReplanUpdate:
     extra_requirements: tuple[str, ...] = ()
 
 
+def _join_subject_tables(subject: str, schema: Schema) -> tuple[str, str]:
+    """The two tables of an ``IRRELEVANT_JOIN`` subject ``a~b``.
+
+    A table name may hold ``~`` itself, so the split is at the first ``~``
+    with a schema table on each side (else at the first ``~``).
+    """
+    i = subject.find("~")
+    while i >= 0:
+        a, b = subject[:i], subject[i + 1 :]
+        if schema.has_table(a) and schema.has_table(b):
+            return a, b
+        i = subject.find("~", i + 1)
+    a, _, b = subject.partition("~")
+    return a, b
+
+
 def update_terminals(
     terminals: TerminalSet,
     report: ValidationReport,
@@ -308,8 +324,7 @@ def update_terminals(
             found = find_containing_tables([v.subject], schema, weights, provider)
             new_terminals = new_terminals.union(found.tables, "direct-reference")
         elif v.code == "IRRELEVANT_JOIN":
-            a, b = v.subject.split("~", 1)
-            key = edge_key(a, b)
+            key = edge_key(*_join_subject_tables(v.subject, schema))
             if key not in excluded:
                 excluded.append(key)
         elif v.code in ("AGG_MISMATCH", "CONSTRAINT_MISMATCH", "GROUPBY_RULE"):

@@ -291,7 +291,28 @@ def load_schema_from_database(path: Union[str, Path]) -> Schema:
         raise SchemaError(f"error reading database {path}: {exc}") from exc
     finally:
         conn.close()
-    return _sorted_schema(tables, fks)
+    return _sorted_schema(tables, _fks_as_declared(tables, fks))
+
+
+def _fks_as_declared(tables: list[TableDef], fks: list[ForeignKey]) -> list[ForeignKey]:
+    """``fks`` with each referenced table and column named as declared.
+
+    An FK clause may spell them in another ASCII case (``REFERENCES A(ID)``
+    for table ``a``), which SQLite resolves by :func:`fold_name`. A table not
+    in ``tables`` is left as written, for :class:`Schema` to report.
+    """
+    by_fold = {fold_name(t.name): t for t in tables}
+    resolved = []
+    for fk in fks:
+        table = by_fold.get(fold_name(fk.to_table))
+        if table is not None:
+            column = fold_name(fk.to_column)
+            to_column = next(
+                (c.name for c in table.columns if fold_name(c.name) == column), fk.to_column
+            )
+            fk = ForeignKey(fk.from_table, fk.from_column, table.name, to_column)
+        resolved.append(fk)
+    return resolved
 
 
 def quote_identifier(name: str) -> str:

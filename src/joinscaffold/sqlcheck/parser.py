@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 _KEYWORDS = {
     "SELECT", "DISTINCT", "ALL", "AS", "FROM", "JOIN", "INNER", "LEFT", "RIGHT",
@@ -50,8 +50,7 @@ class ParseError(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # KEYWORD, IDENT, NUMBER, STRING, OP, EOF
     value: str
     offset: int
@@ -72,30 +71,35 @@ _TOKEN_RE = re.compile(
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, then two EOF tokens: one token past the end is EOF too."""
     tokens: list[Token] = []
+    append = tokens.append
     pos = 0
-    while pos < len(text):
+    end = len(text)
+    while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "ws":
-            pos = m.end()
-            continue
-        value = m.group()
-        if m.lastgroup == "word":
-            upper = value.upper()  # maps ``ſ`` to ``S``; SQLite keywords are ASCII
-            kind = "KEYWORD" if value.isascii() and upper in _KEYWORDS else "IDENT"
-            tokens.append(Token(kind, upper if kind == "KEYWORD" else value, pos))
-        elif m.lastgroup == "qident":
-            tokens.append(Token("IDENT", value[1:-1], pos))
-        elif m.lastgroup == "string":
-            tokens.append(Token("STRING", value[1:-1].replace("''", "'"), pos))
-        elif m.lastgroup == "number":
-            tokens.append(Token("NUMBER", value, pos))
-        else:
-            tokens.append(Token("OP", value, pos))
+        group = m.lastgroup
+        if group != "ws":
+            value = m.group()
+            if group == "word":
+                upper = value.upper()  # maps ``ſ`` to ``S``; SQLite keywords are ASCII
+                if value.isascii() and upper in _KEYWORDS:
+                    append(Token("KEYWORD", upper, pos))
+                else:
+                    append(Token("IDENT", value, pos))
+            elif group == "qident":
+                append(Token("IDENT", value[1:-1], pos))
+            elif group == "string":
+                append(Token("STRING", value[1:-1].replace("''", "'"), pos))
+            elif group == "number":
+                append(Token("NUMBER", value, pos))
+            else:
+                append(Token("OP", value, pos))
         pos = m.end()
-    tokens.append(Token("EOF", "", len(text)))
+    eof = Token("EOF", "", end)
+    tokens += (eof, eof)
     return tokens
 
 
@@ -245,7 +249,8 @@ class _Parser:
         self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        """The token ``ahead`` (0 or 1) places on; ``advance`` stops at the first EOF."""
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]

@@ -1,10 +1,15 @@
 """Three-level validation of candidate SQL.
 
-Level 1 executes the query on a read-only connection that refuses ``ATTACH``
-and ``VACUUM INTO``, and captures engine errors. Level 2 checks semantic
-consistency: terminal coverage, join relevance against the scaffold, and
-attribute mapping. Level 3 audits mathematical structure: the group-by rule,
-aggregate/operation agreement, and constraint translation.
+Level 1 executes the query on a read-only connection and captures engine
+errors. The connection admits queries only: any other statement (``PRAGMA``,
+``BEGIN``, ``CREATE TEMP``, ``ATTACH``, ``VACUUM INTO``) fails as "not
+authorized" or "authorization denied", and a query that runs past
+:data:`EXECUTION_BUDGET_S` seconds is interrupted. As no candidate can leave
+state behind, each thread reuses one connection per database file until the
+file changes. Level 2 checks semantic consistency: terminal coverage, join
+relevance against the scaffold, and attribute mapping. Level 3 audits
+mathematical structure: the group-by rule, aggregate/operation agreement, and
+constraint translation.
 
 A level-1 failure suppresses levels 2 and 3. When the query parses outside
 the supported subset, levels 2 and 3 are skipped with an explanatory note and
@@ -14,8 +19,11 @@ validation falls back to execution only.
 from __future__ import annotations
 
 import datetime as _dt
+import os
 import re
 import sqlite3
+import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -112,27 +120,80 @@ def report_document(report: ValidationReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def validate_execution(sql: str, db_path: Union[str, Path]) -> ValidationReport:
-    """Execute read-only; engine failures become SYNTAX/EXECUTION violations."""
+# Wall time one level-1 execution may take, in seconds, far above the slowest
+# query the benchmark workloads run (about 0.3 s). The clock is read every
+# PROGRESS_STEPS virtual-machine steps of the running statement.
+EXECUTION_BUDGET_S = 10.0
+PROGRESS_STEPS = 100_000
+
+# The authorizer actions a query fires; every other action is denied.
+_QUERY_ACTIONS = frozenset(
+    (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
+)
+
+# This thread's level-1 connection: ``conn``, the ``key`` of the file it was
+# opened on and the ``deadline`` of the running statement.
+_local = threading.local()
+
+
+def _allow_query(action: int, *_detail) -> int:
+    return sqlite3.SQLITE_OK if action in _QUERY_ACTIONS else sqlite3.SQLITE_DENY
+
+
+def _past_deadline() -> bool:
+    return time.monotonic() > _local.deadline
+
+
+def _query_connection(db_path: Union[str, Path]) -> sqlite3.Connection:
+    """This thread's connection to ``db_path``, reopened when the file changes.
+
+    The key is the absolute path, the file's identity, size and modification
+    time, and the process id, so a replaced or rewritten file, or a forked
+    child, gets a fresh open with the checks and errors of the first one.
+    """
+    path = os.path.abspath(db_path)
+    try:
+        st = os.stat(path)
+        key = (path, st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size, os.getpid())
+    except OSError:
+        key = None
+    cached = getattr(_local, "conn", None)
+    if cached is not None:
+        if key is not None and key == _local.key:
+            return cached
+        _local.conn = _local.key = None
+        cached.close()
     try:
         conn = connect_read_only(db_path)
     except SchemaError as exc:
         raise InfrastructureError(str(exc)) from exc
+    conn.set_authorizer(_allow_query)
+    conn.set_progress_handler(_past_deadline, PROGRESS_STEPS)
+    _local.conn, _local.key = conn, key
+    return conn
+
+
+def validate_execution(sql: str, db_path: Union[str, Path]) -> ValidationReport:
+    """Execute one query within the time budget; engine failures become SYNTAX/EXECUTION."""
+    cur = _query_connection(db_path).cursor()
+    _local.deadline = time.monotonic() + EXECUTION_BUDGET_S
     try:
-        cur = conn.execute(sql)
+        cur.execute(sql)
         row_count = 0
         while batch := cur.fetchmany(FETCH_BATCH_ROWS):
             row_count += len(batch)
         return ValidationReport(level1=True, level2=None, level3=None, row_count=row_count)
     except sqlite3.Error as exc:
         message = str(exc)
+        if message == "interrupted":
+            message = f"interrupted: query ran past the {EXECUTION_BUDGET_S:g} s execution budget"
         code = "SYNTAX" if "syntax error" in message.lower() else "EXECUTION"
         violation = Violation(1, code, message, subject=sql.strip().split("\n")[0][:80])
         return ValidationReport(
             level1=False, level2=None, level3=None, violations=(violation,)
         )
     finally:
-        conn.close()
+        cur.close()  # resets the statement, so no read lock outlives the call
 
 
 # ---------------------------------------------------------------------------

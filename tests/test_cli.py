@@ -1,4 +1,5 @@
 import json
+import sqlite3
 
 import pytest
 
@@ -60,6 +61,18 @@ def test_graph_command(capsys, analytics_schema_file, override_file):
     assert totals[("ga_sessions", "totals")] == 0.08
     assert totals[("ga_sessions", "hits")] == 0.09
     assert totals[("hits", "totals")] == 0.58
+
+
+def test_graph_reads_fk_ends_spelt_in_another_ascii_case(capsys, tmp_path):
+    db = tmp_path / "fkcase.db"
+    conn = sqlite3.connect(db)
+    conn.executescript(
+        "CREATE TABLE a(id INTEGER PRIMARY KEY); CREATE TABLE b(x INTEGER REFERENCES A(ID));"
+    )
+    conn.close()
+    code, out, err = run_cli(capsys, "graph", db)
+    assert (code, err) == (0, "")
+    assert [(e["a"], e["b"], e["has_fk"]) for e in json.loads(out)["edges"]] == [("a", "b", True)]
 
 
 def test_graph_profile_uses_configured_tau(capsys, company_db, company_schema):

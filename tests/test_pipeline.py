@@ -1,3 +1,4 @@
+import json
 import shutil
 from importlib import resources
 
@@ -25,7 +26,8 @@ from joinscaffold.pipeline import (
     update_terminals,
 )
 from joinscaffold.profiling import profile_statistics
-from joinscaffold.sqlcheck import ValidationReport, Violation
+from joinscaffold.schema import load_schema_from_document
+from joinscaffold.sqlcheck import ValidationReport, Violation, parse_sql, validate_semantic
 from joinscaffold.steiner import solve_steiner
 
 NO_PROFILE = PipelineConfig(profile_stats=False)
@@ -212,6 +214,27 @@ def test_update_irrelevant_join_excludes_edge(analytics_schema, analytics_decomp
         analytics_decomposition.terminals, report, analytics_decomposition, analytics_schema
     )
     assert update.excluded_edges == (("hits", "totals"),)
+
+
+def test_update_irrelevant_join_splits_between_two_schema_tables(analytics_decomposition):
+    schema = load_schema_from_document(
+        json.dumps(
+            {
+                "tables": [
+                    {"name": name, "columns": [{"name": "id", "type": "integer", "pk": True}]}
+                    for name in ("a", "a~b", "c")
+                ]
+            }
+        )
+    )
+    ast = parse_sql('SELECT * FROM "a~b" JOIN c ON "a~b".id = c.id')
+    terminals = TerminalSet.from_pairs([("a~b", "direct-reference"), ("c", "direct-reference")])
+    ok, violations = validate_semantic(ast, terminals, None, (), schema)
+    assert not ok and [(v.code, v.subject) for v in violations] == [("IRRELEVANT_JOIN", "a~b~c")]
+    update = update_terminals(
+        terminals, _failing_report(*violations), analytics_decomposition, schema
+    )
+    assert update.excluded_edges == (("a~b", "c"),)
 
 
 def test_update_math_codes_append_requirements(analytics_schema, analytics_decomposition):

@@ -45,6 +45,25 @@ def test_load_database_reads_tables_and_fk(two_table_db):
     )
 
 
+def test_fk_ends_in_another_ascii_case_name_the_declared_table_and_column(tmp_path):
+    path = tmp_path / "fkcase.db"
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE a (id INTEGER PRIMARY KEY);
+        CREATE TABLE b (x INTEGER REFERENCES A(ID));
+        CREATE TABLE c (y INTEGER, FOREIGN KEY (Y) REFERENCES A);
+        """
+    )
+    conn.close()
+    schema = load_schema_from_database(path)
+    assert schema.foreign_keys == (
+        ForeignKey("b", "x", "a", "id"),
+        ForeignKey("c", "y", "a", "id"),
+    )
+    assert schema.fk_neighbors["a"] == ("b", "c")
+
+
 def test_load_database_is_deterministic(two_table_db):
     assert load_schema_from_database(two_table_db) == load_schema_from_database(two_table_db)
 
