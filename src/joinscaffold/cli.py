@@ -147,6 +147,11 @@ def _load_stub(path: Path) -> StubGenerator:
     )
 
 
+# The keys a config file may hold besides "weights" (an object of CostWeights
+# fields) and "tau" (its tau): the other PipelineConfig fields.
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(PipelineConfig)) - {"weights"}
+
+
 def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     """Merge defaults, config file, environment, and flags (that order)."""
     values: dict = {}
@@ -160,15 +165,12 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
                 'with "weights" (if given) an object'
             )
         weight_fields.update(doc.pop("weights", {}))
-        for key in (
-            "sample_limit", "max_iterations", "temperature", "generator_endpoint",
-            "generator_model", "generator_api_key", "template_dir", "profile_stats",
-            "retries", "backoff", "timeout",
-        ):
-            if key in doc:
-                values[key] = doc[key]
         if "tau" in doc:
-            weight_fields["tau"] = doc["tau"]
+            weight_fields["tau"] = doc.pop("tau")
+        unknown = sorted(set(doc) - _CONFIG_KEYS)
+        if unknown:
+            raise CliError(f"config file {config_path}: unknown keys {unknown}")
+        values.update(doc)
     env = os.environ
     for env_key, cfg_key in (
         ("JOINSCAFFOLD_GENERATOR_ENDPOINT", "generator_endpoint"),

@@ -401,17 +401,11 @@ def _admitted_pairs(
 class _Admission:
     """One materialised admission walk and the last graph costed from it."""
 
-    def __init__(
-        self,
-        schema: Schema,
-        weights: CostWeights,
-        provider: EmbeddingProvider,
-        vectors: _NameVectors,
-    ) -> None:
+    def __init__(self, schema: Schema, weights: CostWeights, provider: EmbeddingProvider) -> None:
         self.key = (schema, weights)
         self.provider = provider
-        self.vectors = vectors
-        self.pairs = list(_admitted_pairs(schema, weights, vectors))
+        self.vectors = _NameVectors(provider)
+        self.pairs = list(_admitted_pairs(schema, weights, self.vectors))
         # (statistics, override costs) -> the graph costed from ``pairs``
         self.graph: Optional[tuple[tuple, SchemaGraph]] = None
 
@@ -429,16 +423,14 @@ def _admission(
 ) -> _Admission:
     """The admission walk for this key, from the memo slot when it matches.
 
-    The key is the schema and the weights (``==``) and the underlying
-    provider (identity; a ``_NameVectors`` stands for the provider it wraps).
-    A miss walks again and replaces the slot.
+    The key is the schema and the weights (``==``) and the provider
+    (identity). A miss walks again and replaces the slot.
     """
     global _memo
-    vectors = provider if isinstance(provider, _NameVectors) else None
-    base = vectors.provider if vectors is not None else provider or default_provider()
+    provider = provider or default_provider()
     memo = _memo
-    if memo is None or memo.provider is not base or memo.key != (schema, weights):
-        memo = _memo = _Admission(schema, weights, base, vectors or _NameVectors(base))
+    if memo is None or memo.provider is not provider or memo.key != (schema, weights):
+        memo = _memo = _Admission(schema, weights, provider)
     return memo
 
 

@@ -529,10 +529,8 @@ def analyze_dependencies(
         if entity.kind in _STEP1_KINDS:
             bind(eid, entity, REASON_DIRECT, "attribute-flow")
 
-    # Step 3 runs before join analysis can see its tables? No — keep the
-    # algorithm's order: join analysis below only relates tables already
-    # bound, and constraint binding happens afterwards, then join analysis
-    # re-runs over pairs introduced by constraints.
+    # The order is step 1, step 2, step 3, then step 2 again over the tables
+    # step 3 bound.
     def join_requirements() -> None:
         required: set[tuple[str, str]] = set()
         for eid in entity_ids:

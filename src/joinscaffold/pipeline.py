@@ -10,14 +10,17 @@ level-1 failure returns immediately with the ``syntax_error`` outcome;
 level-2/3 failures feed the re-planning rules; three failed rounds yield
 ``max_iterations``.
 
-Re-planning rules by violation code:
+The loop's one plan state is a :class:`ReplanUpdate`: terminals, must-include
+tables, excluded edges and extra requirements. Re-planning reads the tables
+each violation names (``Violation.tables``); its ``subject`` is display text
+only. Rules by violation code:
 
 * MISSING_TERMINAL — terminals unchanged; the table is marked must-include in
   the next prompt's critical requirements.
-* UNMAPPED_ATTRIBUTE — the phrase is re-matched against the schema and any
-  owning tables join the terminal set.
-* IRRELEVANT_JOIN — the offending edge joins a per-run exclusion list that is
-  dropped from the graph before the next solve.
+* UNMAPPED_ATTRIBUTE — the tables owning the columns the phrase names join
+  the terminal set.
+* IRRELEVANT_JOIN — the edge between the join's two tables joins a per-run
+  exclusion list that is dropped from the graph before the next solve.
 * AGG_MISMATCH / CONSTRAINT_MISMATCH / GROUPBY_RULE — terminals unchanged; the
   violation text is appended to the critical-requirements section.
 """
@@ -40,12 +43,7 @@ from .costs import (
     candidate_join_pairs,
     edge_key,
 )
-from .decompose import (
-    DecompositionResult,
-    TerminalSet,
-    decompose_question,
-    find_containing_tables,
-)
+from .decompose import REASON_DIRECT, DecompositionResult, TerminalSet, decompose_question
 from .embedding import EmbeddingProvider, default_provider
 from .httpjson import POST_ERRORS, post_json
 from .profiling import StatsProfile, profile_statistics
@@ -278,62 +276,41 @@ def build_prompt(
 
 @dataclass(frozen=True)
 class ReplanUpdate:
+    """The plan one iteration runs with; re-planning returns the next one."""
+
     terminals: TerminalSet
     must_include: tuple[str, ...] = ()
     excluded_edges: tuple[tuple[str, str], ...] = ()
     extra_requirements: tuple[str, ...] = ()
 
 
-def _join_subject_tables(subject: str, schema: Schema) -> tuple[str, str]:
-    """The two tables of an ``IRRELEVANT_JOIN`` subject ``a~b``.
+def update_terminals(plan: ReplanUpdate, report: ValidationReport) -> ReplanUpdate:
+    """The next plan: ``plan`` with the level-2/3 violations of ``report`` added.
 
-    A table name may hold ``~`` itself, so the split is at the first ``~``
-    with a schema table on each side (else at the first ``~``).
+    Each rule reads the tables a violation names (``Violation.tables``),
+    never its display ``subject``. Entries already in the plan are kept
+    once, in the order they first appeared.
     """
-    i = subject.find("~")
-    while i >= 0:
-        a, b = subject[:i], subject[i + 1 :]
-        if schema.has_table(a) and schema.has_table(b):
-            return a, b
-        i = subject.find("~", i + 1)
-    a, _, b = subject.partition("~")
-    return a, b
-
-
-def update_terminals(
-    terminals: TerminalSet,
-    report: ValidationReport,
-    decomposition: DecompositionResult,
-    schema: Schema,
-    weights: CostWeights = DEFAULT_WEIGHTS,
-    provider: Optional[EmbeddingProvider] = None,
-) -> ReplanUpdate:
-    """Translate level-2/3 violations into terminal and graph constraints."""
     if report.level2 is not False and report.level3 is not False:
         raise ValueError("update_terminals called on a passing report")
-    provider = provider or default_provider()
-    must_include: list[str] = []
-    excluded: list[tuple[str, str]] = []
-    extra: list[str] = []
-    new_terminals = terminals
+    terminals = plan.terminals
+    must_include = list(plan.must_include)
+    excluded = list(plan.excluded_edges)
+    extra = list(plan.extra_requirements)
     for v in report.violations:
         if v.code == "MISSING_TERMINAL":
-            if v.subject not in must_include:
-                must_include.append(v.subject)
+            must_include += v.tables
         elif v.code == "UNMAPPED_ATTRIBUTE":
-            found = find_containing_tables([v.subject], schema, weights, provider)
-            new_terminals = new_terminals.union(found.tables, "direct-reference")
+            terminals = terminals.union(v.tables, REASON_DIRECT)
         elif v.code == "IRRELEVANT_JOIN":
-            key = edge_key(*_join_subject_tables(v.subject, schema))
-            if key not in excluded:
-                excluded.append(key)
+            excluded.append(edge_key(*v.tables))
         elif v.code in ("AGG_MISMATCH", "CONSTRAINT_MISMATCH", "GROUPBY_RULE"):
             extra.append(v.message)
     return ReplanUpdate(
-        terminals=new_terminals,
-        must_include=tuple(must_include),
-        excluded_edges=tuple(excluded),
-        extra_requirements=tuple(extra),
+        terminals=terminals,
+        must_include=tuple(dict.fromkeys(must_include)),
+        excluded_edges=tuple(dict.fromkeys(excluded)),
+        extra_requirements=tuple(dict.fromkeys(extra)),
     )
 
 
@@ -377,8 +354,7 @@ def run_pipeline(
         raise PipelineError("a database path is required for validation")
     provider = provider or default_provider()
     decomposition = decompose_question(question, schema, config.weights, provider)
-    terminals = decomposition.terminals
-    if not len(terminals):
+    if not len(decomposition.terminals):
         raise PipelineError(
             "no terminal tables identified for this question; nothing to plan"
         )
@@ -387,21 +363,19 @@ def run_pipeline(
         stats = profile_statistics(schema, db_path, config.sample_limit, pairs)
     graph = build_schema_graph(schema, stats, config.weights, provider)
 
-    excluded: tuple[tuple[str, str], ...] = ()
-    must_include: tuple[str, ...] = ()
-    extra_requirements: tuple[str, ...] = ()
+    plan = ReplanUpdate(decomposition.terminals)
     trace: list[IterationTrace] = []
-
+    outcome, final_sql = "max_iterations", None
     for iteration in range(1, config.max_iterations + 1):
-        scaffold = solve_steiner(graph.without(excluded), terminals.tables)
+        scaffold = solve_steiner(graph.without(plan.excluded_edges), plan.terminals.tables)
         prompt = build_prompt(
-            scaffold, schema, question, config, must_include, extra_requirements
+            scaffold, schema, question, config, plan.must_include, plan.extra_requirements
         )
         sql = client.generate(prompt.text(), question)
         report = validate_all(
             sql,
             db_path,
-            terminals,
+            plan.terminals,
             scaffold,
             decomposition.entities,
             schema,
@@ -411,47 +385,27 @@ def run_pipeline(
         trace.append(
             IterationTrace(
                 iteration=iteration,
-                terminals=terminals,
+                terminals=plan.terminals,
                 scaffold=scaffold,
                 sql=sql,
                 report=report,
-                excluded_edges=excluded,
-                must_include=must_include,
+                excluded_edges=plan.excluded_edges,
+                must_include=plan.must_include,
             )
         )
         if report.level1 is False:
-            return PipelineResult(
-                outcome="syntax_error",
-                sql=None,
-                question=question,
-                iterations_used=iteration,
-                trace=tuple(trace),
-                decomposition=decomposition,
-            )
+            outcome = "syntax_error"
+            break
         if report.ok:
-            return PipelineResult(
-                outcome="sql",
-                sql=sql,
-                question=question,
-                iterations_used=iteration,
-                trace=tuple(trace),
-                decomposition=decomposition,
-            )
-        update = update_terminals(
-            terminals, report, decomposition, schema, config.weights, provider
-        )
-        terminals = update.terminals
-        must_include = tuple(dict.fromkeys(must_include + update.must_include))
-        excluded = tuple(dict.fromkeys(excluded + update.excluded_edges))
-        extra_requirements = tuple(
-            dict.fromkeys(extra_requirements + update.extra_requirements)
-        )
+            outcome, final_sql = "sql", sql
+            break
+        plan = update_terminals(plan, report)
 
     return PipelineResult(
-        outcome="max_iterations",
-        sql=None,
+        outcome=outcome,
+        sql=final_sql,
         question=question,
-        iterations_used=config.max_iterations,
+        iterations_used=len(trace),
         trace=tuple(trace),
         decomposition=decomposition,
     )
@@ -476,20 +430,7 @@ def pipeline_document(result: PipelineResult) -> str:
                 "scaffold": json.loads(scaffold_document(t.scaffold)),
                 "sql": t.sql,
                 "report": {
-                    "level1": t.report.level1,
-                    "level2": t.report.level2,
-                    "level3": t.report.level3,
-                    "ok": t.report.ok,
-                    "violations": [
-                        {
-                            "level": v.level,
-                            "code": v.code,
-                            "message": v.message,
-                            "subject": v.subject,
-                        }
-                        for v in t.report.violations
-                    ],
-                    "notes": list(t.report.notes),
+                    k: v for k, v in t.report.document_fields().items() if k != "row_count"
                 },
                 "excluded_edges": [list(e) for e in t.excluded_edges],
                 "must_include": list(t.must_include),

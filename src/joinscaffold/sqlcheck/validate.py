@@ -72,10 +72,19 @@ class InfrastructureError(RuntimeError):
 
 @dataclass(frozen=True)
 class Violation:
+    """One failed check. ``subject`` is display text for reports only.
+
+    ``tables`` names the schema tables the violation is about, and it is what
+    re-planning reads: the terminal of a ``MISSING_TERMINAL``, the two tables
+    of an ``IRRELEVANT_JOIN``, the sorted owners of the columns an
+    ``UNMAPPED_ATTRIBUTE`` phrase names. Other codes leave it empty.
+    """
+
     level: int
     code: str
     message: str
     subject: str
+    tables: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.code not in CODES:
@@ -98,21 +107,24 @@ class ValidationReport:
     def by_code(self, code: str) -> tuple[Violation, ...]:
         return tuple(v for v in self.violations if v.code == code)
 
+    def document_fields(self) -> dict:
+        """The fields report and pipeline documents export; ``tables`` is not one."""
+        return {
+            "level1": self.level1,
+            "level2": self.level2,
+            "level3": self.level3,
+            "ok": self.ok,
+            "violations": [
+                {"level": v.level, "code": v.code, "message": v.message, "subject": v.subject}
+                for v in self.violations
+            ],
+            "notes": list(self.notes),
+            "row_count": self.row_count,
+        }
+
 
 def report_document(report: ValidationReport) -> str:
-    doc = {
-        "level1": report.level1,
-        "level2": report.level2,
-        "level3": report.level3,
-        "ok": report.ok,
-        "violations": [
-            {"level": v.level, "code": v.code, "message": v.message, "subject": v.subject}
-            for v in report.violations
-        ],
-        "notes": list(report.notes),
-        "row_count": report.row_count,
-    }
-    return canonical_json(doc)
+    return canonical_json(report.document_fields())
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +142,10 @@ PROGRESS_STEPS = 100_000
 _QUERY_ACTIONS = frozenset(
     (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
 )
+
+# A statement whose first word, after blanks and comments, is EXPLAIN.
+# Each comment can end in one place only, so a failed match backtracks little.
+_EXPLAIN = re.compile(r"(?:\s|--[^\n]*(?:\n|$)|/\*(?:[^*]|\*(?!/))*\*/)*EXPLAIN\b", re.IGNORECASE)
 
 # This thread's level-1 connection: ``conn``, the ``key`` of the file it was
 # opened on and the ``deadline`` of the running statement.
@@ -174,26 +190,33 @@ def _query_connection(db_path: Union[str, Path]) -> sqlite3.Connection:
 
 
 def validate_execution(sql: str, db_path: Union[str, Path]) -> ValidationReport:
-    """Execute one query within the time budget; engine failures become SYNTAX/EXECUTION."""
+    """Execute one query within the time budget; engine failures become SYNTAX/EXECUTION.
+
+    A statement that is not a query fails as ``EXECUTION``: one that returns
+    no result columns (``REINDEX``, an empty statement) and any ``EXPLAIN``.
+    """
     cur = _query_connection(db_path).cursor()
     _local.deadline = time.monotonic() + EXECUTION_BUDGET_S
     try:
         cur.execute(sql)
-        row_count = 0
-        while batch := cur.fetchmany(FETCH_BATCH_ROWS):
-            row_count += len(batch)
-        return ValidationReport(level1=True, level2=None, level3=None, row_count=row_count)
+        if cur.description is None:
+            message = "not a query: the statement returns no result columns"
+        elif _EXPLAIN.match(sql):
+            message = "not a query: EXPLAIN returns the statement's plan, not its result"
+        else:
+            row_count = 0
+            while batch := cur.fetchmany(FETCH_BATCH_ROWS):
+                row_count += len(batch)
+            return ValidationReport(level1=True, level2=None, level3=None, row_count=row_count)
     except sqlite3.Error as exc:
         message = str(exc)
         if message == "interrupted":
             message = f"interrupted: query ran past the {EXECUTION_BUDGET_S:g} s execution budget"
-        code = "SYNTAX" if "syntax error" in message.lower() else "EXECUTION"
-        violation = Violation(1, code, message, subject=sql.strip().split("\n")[0][:80])
-        return ValidationReport(
-            level1=False, level2=None, level3=None, violations=(violation,)
-        )
     finally:
         cur.close()  # resets the statement, so no read lock outlives the call
+    code = "SYNTAX" if "syntax error" in message.lower() else "EXECUTION"
+    violation = Violation(1, code, message, subject=sql.strip().split("\n")[0][:80])
+    return ValidationReport(level1=False, level2=None, level3=None, violations=(violation,))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +302,7 @@ def validate_semantic(
                     "MISSING_TERMINAL",
                     f"terminal table {terminal!r} absent from FROM/JOIN",
                     subject=terminal,
+                    tables=(terminal,),
                 )
             )
 
@@ -291,12 +315,14 @@ def validate_semantic(
                     "IRRELEVANT_JOIN",
                     f"join {rendered} links {ta} and {tb}, which share no scaffold edge or FK",
                     subject=f"{ta}~{tb}",
+                    tables=(ta, tb),
                 )
             )
 
     referenced_names = [c.name for c in _all_query_columns(ast)]
     referenced_names += [item.alias for item in ast.select_items if item.alias]
-    schema_columns = list(schema.column_owners)
+    owners = schema.column_owners
+    schema_columns = list(owners)
     seen_phrases: set[str] = set()
     for entity in entities:
         for phrase in entity.target_attributes:
@@ -308,7 +334,8 @@ def validate_semantic(
             # Only resolvable attributes can be demanded of the query; a
             # phrase matching no schema column is reported by decomposition
             # as unmatched, not here.
-            if not matching_names(phrase, schema_columns, weights, provider):
+            names = matching_names(phrase, schema_columns, weights, provider)
+            if not names:
                 continue
             violations.append(
                 Violation(
@@ -316,6 +343,7 @@ def validate_semantic(
                     "UNMAPPED_ATTRIBUTE",
                     f"attribute {phrase!r} from the question maps to no column in the query",
                     subject=phrase,
+                    tables=tuple(sorted({t for name in names for t, _c in owners[name]})),
                 )
             )
 
@@ -467,8 +495,6 @@ def _agg_violations(
             matched = any(
                 matching_names(t, division_avg, weights, provider) for t in targets
             ) or (not targets and bool(division_avg))
-        if not matched and op == "COUNT":
-            matched = any(c.name == "COUNT" and c.star for c in calls) and not targets
         if not matched:
             described = f"{op}({', '.join(targets) if targets else '*'})"
             violations.append(

@@ -483,6 +483,24 @@ def test_config_value_of_a_wrong_type_exits_1_naming_the_file(
     assert err.startswith(f"error: config file {config_file}: ")
 
 
+def test_config_key_naming_no_setting_exits_1_naming_the_file(
+    capsys, analytics_schema_file, analytics_db, tmp_path
+):
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps({"max_iteration": 1, "tau": 0.7}), encoding="utf-8")
+    stub_file = tmp_path / "stub.json"
+    stub_file.write_text(json.dumps({"default": "SELECT g.date FROM ga_sessions g"}))
+    code, out, err = run_cli(
+        capsys,
+        "run", golden.ANALYTICS_QUESTION, analytics_schema_file,
+        "--db", analytics_db,
+        "--config", config_file,
+        "--stub-responses", stub_file,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: config file {config_file}: unknown keys ['max_iteration']\n"
+
+
 def test_graph_profile_schema_column_missing_from_database_exits_1(
     capsys, company_db, company_schema, tmp_path
 ):

@@ -89,6 +89,33 @@ def test_non_query_statement_fails_level1(db, statement):
     assert validate_all(statement, db, terminals, None, (), load_schema_from_database(db)) == report
 
 
+# Statements the authorizer lets through that still answer no question: one
+# with no result columns, and EXPLAIN in both forms, also after comments.
+EXPLAIN_MESSAGE = "not a query: EXPLAIN returns the statement's plan, not its result"
+NO_ANSWER = {
+    "REINDEX nocase": "not a query: the statement returns no result columns",
+    "EXPLAIN SELECT n FROM g": EXPLAIN_MESSAGE,
+    "EXPLAIN QUERY PLAN SELECT n FROM g": EXPLAIN_MESSAGE,
+    "-- why\n/* plan */ explain SELECT n FROM g": EXPLAIN_MESSAGE,
+}
+
+
+@pytest.mark.parametrize("statement", sorted(NO_ANSWER))
+def test_statement_that_is_not_a_query_fails_level1(db, statement):
+    # An index no NOCASE collation orders: REINDEX nocase fires no authorizer action.
+    writer = sqlite3.connect(db)
+    writer.execute("CREATE INDEX g_n ON g (n)")
+    writer.close()
+    report = validate_execution(statement, db)
+    assert report.level1 is False
+    (violation,) = report.violations
+    assert (violation.level, violation.code) == (1, "EXECUTION")
+    assert violation.message == NO_ANSWER[statement]
+    assert_reusable(db)
+    terminals = TerminalSet.from_pairs([("g", "direct-reference")])
+    assert validate_all(statement, db, terminals, None, (), load_schema_from_database(db)) == report
+
+
 # Each of these fires only the allowed actions (SELECT, READ, FUNCTION, RECURSIVE).
 QUERIES = {
     "join_using": ("SELECT a.n FROM g a JOIN g b USING (n) WHERE a.label = 'row1'", 1),

@@ -11,6 +11,7 @@ from joinscaffold import costs, pipeline
 from joinscaffold.costs import CostWeights, build_schema_graph, graph_document
 from joinscaffold.decompose import (
     DecompositionResult,
+    MathEntity,
     TerminalSet,
     decompose_question,
 )
@@ -19,6 +20,7 @@ from joinscaffold.pipeline import (
     HttpGenerator,
     PipelineConfig,
     PipelineError,
+    ReplanUpdate,
     StubGenerator,
     build_prompt,
     pipeline_document,
@@ -185,75 +187,88 @@ def analytics_decomposition(analytics_schema):
     return decompose_question(golden.ANALYTICS_QUESTION, analytics_schema)
 
 
-def test_update_missing_terminal_marks_must_include(analytics_schema, analytics_decomposition):
-    terminals = analytics_decomposition.terminals
+def test_update_missing_terminal_marks_must_include(analytics_decomposition):
+    plan = ReplanUpdate(analytics_decomposition.terminals)
     report = _failing_report(
-        Violation(2, "MISSING_TERMINAL", "terminal 'hits' absent", "hits")
+        Violation(2, "MISSING_TERMINAL", "terminal 'hits' absent", "hits", ("hits",))
     )
-    update = update_terminals(terminals, report, analytics_decomposition, analytics_schema)
-    assert update.terminals.tables == terminals.tables
+    update = update_terminals(plan, report)
+    assert update.terminals.tables == plan.terminals.tables
     assert update.must_include == ("hits",)
+    # The next plan keeps each mark once.
+    assert update_terminals(update, report) == update
 
 
-def test_update_unmapped_attribute_grows_terminals(analytics_schema, analytics_decomposition):
+def test_update_unmapped_attribute_grows_terminals(analytics_schema):
     terminals = TerminalSet.from_pairs(
         [("ga_sessions", "direct-reference"), ("totals", "direct-reference")]
     )
-    report = _failing_report(
-        Violation(2, "UNMAPPED_ATTRIBUTE", "attribute unmapped", "productRevenue")
+    ast = parse_sql(
+        "SELECT t.pageviews FROM ga_sessions g JOIN totals t ON g.session_id = t.session_id"
     )
-    update = update_terminals(terminals, report, analytics_decomposition, analytics_schema)
-    assert "hits" in update.terminals.tables
+    entity = MathEntity("aggregation", "SUM", ("productRevenue",))
+    ok, violations = validate_semantic(ast, terminals, None, (entity,), analytics_schema)
+    assert not ok
+    assert [(v.code, v.subject, v.tables) for v in violations] == [
+        ("UNMAPPED_ATTRIBUTE", "productRevenue", ("hits",))
+    ]
+    update = update_terminals(ReplanUpdate(terminals), _failing_report(*violations))
+    assert update.terminals.entries == (
+        ("ga_sessions", "direct-reference"),
+        ("hits", "direct-reference"),
+        ("totals", "direct-reference"),
+    )
 
 
-def test_update_irrelevant_join_excludes_edge(analytics_schema, analytics_decomposition):
+def test_update_irrelevant_join_excludes_edge(analytics_decomposition):
     report = _failing_report(
-        Violation(2, "IRRELEVANT_JOIN", "bad join", "totals~hits")
+        Violation(2, "IRRELEVANT_JOIN", "bad join", "totals~hits", ("totals", "hits"))
     )
-    update = update_terminals(
-        analytics_decomposition.terminals, report, analytics_decomposition, analytics_schema
-    )
+    plan = ReplanUpdate(analytics_decomposition.terminals)
+    update = update_terminals(plan, report)
     assert update.excluded_edges == (("hits", "totals"),)
+    assert update_terminals(update, report).excluded_edges == (("hits", "totals"),)
 
 
-def test_update_irrelevant_join_splits_between_two_schema_tables(analytics_decomposition):
-    schema = load_schema_from_document(
-        json.dumps(
-            {
-                "tables": [
-                    {"name": name, "columns": [{"name": "id", "type": "integer", "pk": True}]}
-                    for name in ("a", "a~b", "c")
-                ]
-            }
-        )
-    )
-    ast = parse_sql('SELECT * FROM "a~b" JOIN c ON "a~b".id = c.id')
+def test_update_irrelevant_join_splits_between_two_schema_tables():
     terminals = TerminalSet.from_pairs([("a~b", "direct-reference"), ("c", "direct-reference")])
-    ok, violations = validate_semantic(ast, terminals, None, (), schema)
-    assert not ok and [(v.code, v.subject) for v in violations] == [("IRRELEVANT_JOIN", "a~b~c")]
-    update = update_terminals(
-        terminals, _failing_report(*violations), analytics_decomposition, schema
-    )
-    assert update.excluded_edges == (("a~b", "c"),)
+    for names, sql in [
+        (("a", "a~b", "c"), 'SELECT * FROM "a~b" JOIN c ON "a~b".id = c.id'),
+        # The subject "a~b~c" also splits into two schema tables, "a" and "b~c".
+        (("a", "b~c", "a~b", "c"), 'SELECT x.id FROM "a~b" x JOIN c ON x.id = c.id'),
+    ]:
+        schema = load_schema_from_document(
+            json.dumps(
+                {
+                    "tables": [
+                        {"name": name, "columns": [{"name": "id", "type": "integer", "pk": True}]}
+                        for name in names
+                    ]
+                }
+            )
+        )
+        ok, violations = validate_semantic(parse_sql(sql), terminals, None, (), schema)
+        assert not ok
+        assert [(v.code, v.subject) for v in violations] == [("IRRELEVANT_JOIN", "a~b~c")]
+        update = update_terminals(ReplanUpdate(terminals), _failing_report(*violations))
+        assert update.excluded_edges == (("a~b", "c"),), names
 
 
-def test_update_math_codes_append_requirements(analytics_schema, analytics_decomposition):
+def test_update_math_codes_append_requirements(analytics_decomposition):
     report = _failing_report(
         Violation(3, "AGG_MISMATCH", "no aggregate implements AVG(pageviews)", "AVG(pageviews)")
     )
-    update = update_terminals(
-        analytics_decomposition.terminals, report, analytics_decomposition, analytics_schema
-    )
+    plan = ReplanUpdate(analytics_decomposition.terminals)
+    update = update_terminals(plan, report)
     assert update.terminals.tables == analytics_decomposition.terminals.tables
     assert update.extra_requirements == ("no aggregate implements AVG(pageviews)",)
+    assert update_terminals(update, report) == update
 
 
-def test_update_rejects_passing_report(analytics_schema, analytics_decomposition):
+def test_update_rejects_passing_report(analytics_decomposition):
     passing = ValidationReport(level1=True, level2=True, level3=True)
     with pytest.raises(ValueError):
-        update_terminals(
-            analytics_decomposition.terminals, passing, analytics_decomposition, analytics_schema
-        )
+        update_terminals(ReplanUpdate(analytics_decomposition.terminals), passing)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,13 @@ import pytest
 import golden
 import validator_corpus as corpus
 
-from joinscaffold.costs import build_schema_graph
-from joinscaffold.decompose import MathEntity, TerminalSet, decompose_question
+from joinscaffold.costs import DEFAULT_WEIGHTS, build_schema_graph, edge_key
+from joinscaffold.decompose import (
+    MathEntity,
+    TerminalSet,
+    decompose_question,
+    find_containing_tables,
+)
 from joinscaffold.schema import load_schema_from_database
 from joinscaffold.sqlcheck import (
     InfrastructureError,
@@ -93,6 +98,68 @@ def test_irrelevant_join_detected(company_schema):
     assert "IRRELEVANT_JOIN" in codes
     subjects = {v.subject for v in violations if v.code == "IRRELEVANT_JOIN"}
     assert subjects == {"employees~projects"}
+
+
+# The SQL candidates the pipeline tests feed the analytics question.
+PIPELINE_FIXTURE_SQL = (
+    "SELECT g.date FROM ga_sessions g",
+    "SELECT g.date, t.pageviews FROM ga_sessions g "
+    "JOIN totals t ON g.session_id = t.session_id",
+    "SELECT g.date, t.pageviews FROM ga_sessions g "
+    "JOIN totals t ON g.session_id = t.session_id "
+    "JOIN hits h ON t.session_id = h.session_id",
+    golden.ANALYTICS_GOLDEN_SQL,
+)
+
+
+def test_violation_tables_agree_with_a_fresh_lookup(
+    company_db, company_schema, analytics_db, analytics_schema
+):
+    """Level 2 names the tables re-planning reads: an unmapped phrase's tables
+    are those ``find_containing_tables`` finds for it, and an irrelevant
+    join's are the two tables it joins."""
+    runs = [
+        (case.name, company_schema, validate_all(
+            case.sql, company_db, case.terminals, case.scaffold, case.entities, company_schema
+        ))
+        for case in corpus.CASES
+    ]
+    decomposition = decompose_question(golden.ANALYTICS_QUESTION, analytics_schema)
+    without_hits = TerminalSet.from_pairs(
+        [(t, r) for t, r in decomposition.terminals.entries if t != "hits"]
+    )
+    graph = build_schema_graph(analytics_schema, cost_overrides=golden.ANALYTICS_COST_OVERRIDES)
+    for terminals in (decomposition.terminals, without_hits):
+        scaffold = solve_steiner(graph, terminals.tables)
+        for i, sql in enumerate(PIPELINE_FIXTURE_SQL):
+            report = validate_all(
+                sql, analytics_db, terminals, scaffold, decomposition.entities, analytics_schema
+            )
+            runs.append((f"analytics-{i}", analytics_schema, report))
+
+    unmapped, joins = set(), set()
+    for name, schema, report in runs:
+        for v in report.violations:
+            if v.code == "UNMAPPED_ATTRIBUTE":
+                found = find_containing_tables([v.subject], schema, DEFAULT_WEIGHTS)
+                assert v.tables == found.tables, (name, v)
+                unmapped.add((name, v.subject))
+            elif v.code == "IRRELEVANT_JOIN":
+                assert v.subject == "~".join(edge_key(*v.tables)), (name, v)
+                joins.add((name, edge_key(*v.tables)))
+            elif v.code == "MISSING_TERMINAL":
+                assert v.tables == (v.subject,), (name, v)
+            else:
+                assert v.tables == (), (name, v)
+    assert joins == {
+        ("l2_irrelevant_join", ("employees", "projects")),
+        ("analytics-2", ("hits", "totals")),
+    }
+    assert unmapped >= {
+        ("l2_unmapped_attribute", "budget"),
+        ("l2_missing_terminal_and_unmapped", "dept_name"),
+        ("analytics-1", "productRevenue"),
+    }
 
 
 def test_fk_join_is_relevant_without_scaffold(company_schema):
