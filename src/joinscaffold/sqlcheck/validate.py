@@ -1,12 +1,15 @@
 """Three-level validation of candidate SQL.
 
 Level 1 executes the query on a read-only connection and captures engine
-errors. The connection admits queries only: any other statement (``PRAGMA``,
-``BEGIN``, ``CREATE TEMP``, ``ATTACH``, ``VACUUM INTO``) fails as "not
-authorized" or "authorization denied", and a query that runs past
-:data:`EXECUTION_BUDGET_S` seconds is interrupted. As no candidate can leave
-state behind, each thread reuses one connection per database file until the
-file changes. Level 2 checks semantic consistency: terminal coverage, join
+errors. It reads the first :data:`FETCH_BATCH_ROWS` rows itself; when the
+result is longer, SQLite counts it with every result column evaluated, so no
+Python row is built for the rest and a runtime error in any row still fails
+level 1. Result text is never decoded. The connection admits queries only:
+any other statement (``PRAGMA``, ``BEGIN``, ``CREATE TEMP``, ``ATTACH``,
+``VACUUM INTO``) fails as "not authorized" or "authorization denied", and a
+query that runs past :data:`EXECUTION_BUDGET_S` seconds is interrupted. As no
+candidate can leave state behind, each thread reuses one connection per
+database file until the file changes. Level 2 checks semantic consistency: terminal coverage, join
 relevance against the scaffold, and attribute mapping. Level 3 audits
 mathematical structure: the group-by rule, aggregate/operation agreement, and
 constraint translation.
@@ -62,7 +65,10 @@ CODES = (
     "EXECUTION",
 )
 
-# Rows fetched per step when counting a result, so no full row list is held.
+# Rows level 1 fetches before it hands the count of a longer result to the
+# engine (see _engine_count); a shorter first batch is the row count. The fetch
+# loop that takes over when the engine count fails reads this many per step, so
+# no full row list is held.
 FETCH_BATCH_ROWS = 4096
 
 
@@ -147,6 +153,10 @@ _QUERY_ACTIONS = frozenset(
 # Each comment can end in one place only, so a failed match backtracks little.
 _EXPLAIN = re.compile(r"(?:\s|--[^\n]*(?:\n|$)|/\*(?:[^*]|\*(?!/))*\*/)*EXPLAIN\b", re.IGNORECASE)
 
+# The common table expression _engine_count wraps a candidate in. A candidate
+# that spells this name in any case is counted by the fetch loop instead.
+_COUNT_CTE = "joinscaffold_rows"
+
 # This thread's level-1 connection: ``conn``, the ``key`` of the file it was
 # opened on and the ``deadline`` of the running statement.
 _local = threading.local()
@@ -185,8 +195,35 @@ def _query_connection(db_path: Union[str, Path]) -> sqlite3.Connection:
         raise InfrastructureError(str(exc)) from exc
     conn.set_authorizer(_allow_query)
     conn.set_progress_handler(_past_deadline, PROGRESS_STEPS)
+    conn.text_factory = bytes  # level 1 never reads a value, so none is decoded
     _local.conn, _local.key = conn, key
     return conn
+
+
+def _engine_count(conn: sqlite3.Connection, sql: str, columns: int) -> Optional[int]:
+    """The rows ``sql`` returns, counted by SQLite; ``None`` if the count fails.
+
+    Each result column is counted too, so the engine evaluates every result
+    expression on every row: a runtime error there fails the count as it
+    fails a fetch. Run while the candidate's own statement is open, the count
+    reads the same snapshot. On any error the caller's fetch loop carries on
+    and its statement reports what goes wrong.
+    """
+    if _COUNT_CTE in sql.casefold():
+        return None
+    names = ", ".join(f"c{i}" for i in range(columns))
+    counts = ", ".join(f"count(c{i})" for i in range(columns))
+    body = sql.rstrip(" \t\n\v\f\r;")
+    cur = conn.cursor()
+    try:
+        cur.execute(
+            f"WITH {_COUNT_CTE}({names}) AS (\n{body}\n) SELECT count(*), {counts} FROM {_COUNT_CTE}"
+        )
+        return cur.fetchone()[0]
+    except sqlite3.Error:
+        return None
+    finally:
+        cur.close()
 
 
 def validate_execution(sql: str, db_path: Union[str, Path]) -> ValidationReport:
@@ -194,8 +231,11 @@ def validate_execution(sql: str, db_path: Union[str, Path]) -> ValidationReport:
 
     A statement that is not a query fails as ``EXECUTION``: one that returns
     no result columns (``REINDEX``, an empty statement) and any ``EXPLAIN``.
+    A result longer than one fetch batch is counted by the engine, within the
+    same budget.
     """
-    cur = _query_connection(db_path).cursor()
+    conn = _query_connection(db_path)
+    cur = conn.cursor()
     _local.deadline = time.monotonic() + EXECUTION_BUDGET_S
     try:
         cur.execute(sql)
@@ -204,9 +244,14 @@ def validate_execution(sql: str, db_path: Union[str, Path]) -> ValidationReport:
         elif _EXPLAIN.match(sql):
             message = "not a query: EXPLAIN returns the statement's plan, not its result"
         else:
-            row_count = 0
-            while batch := cur.fetchmany(FETCH_BATCH_ROWS):
-                row_count += len(batch)
+            row_count = len(cur.fetchmany(FETCH_BATCH_ROWS))
+            if row_count == FETCH_BATCH_ROWS:
+                counted = _engine_count(conn, sql, len(cur.description))
+                if counted is not None:
+                    row_count = counted
+                else:
+                    while batch := cur.fetchmany(FETCH_BATCH_ROWS):
+                        row_count += len(batch)
             return ValidationReport(level1=True, level2=None, level3=None, row_count=row_count)
     except sqlite3.Error as exc:
         message = str(exc)

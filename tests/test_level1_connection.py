@@ -19,7 +19,7 @@ import golden
 
 from joinscaffold.decompose import TerminalSet
 from joinscaffold.pipeline import PipelineConfig, StubGenerator, run_pipeline
-from joinscaffold.schema import load_schema_from_database
+from joinscaffold.schema import connect_read_only, load_schema_from_database
 from joinscaffold.sqlcheck import InfrastructureError, validate_all, validate_execution
 from joinscaffold.sqlcheck import validate
 
@@ -46,6 +46,19 @@ def db(tmp_path):
 
 def cached_connection():
     return validate._local.conn
+
+
+def spy_engine_count(monkeypatch):
+    """The list each engine count's result is appended to, ``None`` for a failed one."""
+    results = []
+    count = validate._engine_count
+
+    def spy(*args):
+        results.append(count(*args))
+        return results[-1]
+
+    monkeypatch.setattr(validate, "_engine_count", spy)
+    return results
 
 
 def assert_reusable(db_path):
@@ -136,6 +149,18 @@ def test_queries_pass_the_allowlist(db, name):
     sql, rows = QUERIES[name]
     report = validate_execution(sql, db)
     assert (report.level1, report.row_count, report.violations) == (True, rows, ())
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_queries_pass_the_allowlist_counted_by_the_engine(db, monkeypatch, name):
+    # One-row batches: every result with a row is counted by the engine.
+    monkeypatch.setattr(validate, "FETCH_BATCH_ROWS", 1)
+    counted = spy_engine_count(monkeypatch)
+    sql, rows = QUERIES[name]
+    report = validate_execution(sql, db)
+    assert (report.level1, report.row_count, report.violations) == (True, rows, ())
+    assert counted == ([rows] if rows else [])
+    assert_reusable(db)
 
 
 def test_pragma_candidate_ends_the_loop_as_syntax_error(analytics_schema, analytics_db):
@@ -291,3 +316,161 @@ def test_each_thread_has_its_own_connection(db):
     (c0, reused0), (c1, reused1) = seen[0], seen[1]
     assert reused0 and reused1
     assert c0 is not c1
+
+
+# ---------------------------------------------------------------------------
+# counting a long result
+# ---------------------------------------------------------------------------
+
+LONG_ROWS = 10_000
+OVERFLOW = "abs(-9223372036854775807 - (x > 9000))"  # fails on rows 9001 and later
+
+
+@pytest.fixture()
+def long_db(db):
+    """The generated database plus ``big``, whose row 9000 holds malformed JSON,
+    and a real table named and with a column named like the engine count's
+    common table expression and its first column."""
+    writer = sqlite3.connect(db)
+    writer.executescript(f"""
+        CREATE TABLE big (x INTEGER, s TEXT, j TEXT);
+        INSERT INTO big
+        WITH RECURSIVE k(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM k WHERE x < {LONG_ROWS})
+        SELECT x, 'r' || x, CASE WHEN x = 9000 THEN '{{' ELSE json_object('a', x) END FROM k;
+        CREATE TABLE {validate._COUNT_CTE} AS SELECT x AS c0 FROM big;
+        CREATE VIEW through_view AS SELECT c0 FROM {validate._COUNT_CTE};
+    """)
+    writer.close()
+    return db
+
+
+def reference_level1(sql, db_path):
+    """(level1, row_count, messages) of a plain fetch loop on a fresh connection."""
+    budget = validate.EXECUTION_BUDGET_S
+    conn = connect_read_only(db_path)
+    deadline = time.monotonic() + budget
+    conn.set_progress_handler(lambda: time.monotonic() > deadline, validate.PROGRESS_STEPS)
+    try:
+        cur = conn.execute(sql)
+        rows = 0
+        while batch := cur.fetchmany(1000):
+            rows += len(batch)
+        return (True, rows, ())
+    except sqlite3.Error as exc:
+        message = str(exc)
+        if message == "interrupted":
+            message = f"interrupted: query ran past the {budget:g} s execution budget"
+        return (False, None, (message,))
+    finally:
+        conn.close()
+
+
+# Every query returns more than FETCH_BATCH_ROWS rows or fails past the first
+# batch. "engine": the engine count gives row_count; "fetch": the count is
+# skipped or fails and the fetch loop counts; "error": the fetch loop fails.
+PARITY = {
+    "select_overflow": (f"SELECT x, {OVERFLOW} FROM big", "error"),
+    "select_malformed_json": ("SELECT x, json_extract(j, '$.a') FROM big", "error"),
+    "order_by_error": (f"SELECT x FROM big ORDER BY {OVERFLOW}", "error"),
+    "where_error": (f"SELECT x FROM big WHERE {OVERFLOW} > 0", "error"),
+    "trailing_semicolon": ("SELECT x, s FROM big;", "engine"),
+    "trailing_semicolon_and_blanks": ("SELECT x FROM big ;\n  ", "engine"),
+    "semicolon_then_comment": ("SELECT x FROM big; -- every row", "fetch"),
+    "trailing_line_comment": ("SELECT x FROM big -- every row", "engine"),
+    "unterminated_block_comment": ("SELECT x FROM big /* every row", "fetch"),
+    "table_named_like_the_cte": (f"SELECT c0 FROM {validate._COUNT_CTE}", "fetch"),
+    # Wrapped, this compound would be a recursive CTE of 25,000 rows, not 20,000.
+    "compound_over_that_table": (f"SELECT x FROM big UNION SELECT c0 + 10000 FROM "
+                                 f"{validate._COUNT_CTE.upper()} WHERE c0 <= 15000", "fetch"),
+    "view_over_that_table": ("SELECT c0 FROM through_view", "engine"),
+    "duplicate_column_names": ("SELECT x, x, s AS x FROM big", "engine"),
+    "union_all": ("SELECT x FROM big UNION ALL SELECT n FROM g", "engine"),
+    "limit_offset": ("SELECT x, s FROM big LIMIT 5000 OFFSET 3000", "engine"),
+    "values": ("VALUES " + ", ".join(f"({i}, 'v{i}')" for i in range(5000)), "engine"),
+    "window": ("SELECT x, row_number() OVER (ORDER BY s), sum(x) OVER () FROM big", "engine"),
+    "recursive_cte": ("WITH RECURSIVE c(k) AS (SELECT 1 UNION ALL SELECT k + 1 FROM c "
+                      "WHERE k < 6000) SELECT k, k * k FROM c", "engine"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY))
+def test_long_result_agrees_with_a_plain_fetch_loop(long_db, monkeypatch, name):
+    sql, path = PARITY[name]
+    counted = spy_engine_count(monkeypatch)
+    report = validate_execution(sql, long_db)
+    got = (report.level1, report.row_count, tuple(v.message for v in report.violations))
+    assert got == reference_level1(sql, long_db)
+    assert_reusable(long_db)
+    if path == "error":
+        assert report.level1 is False and report.violations[0].level == 1
+    else:
+        assert report.row_count > validate.FETCH_BATCH_ROWS
+        assert counted == [report.row_count if path == "engine" else None]
+
+
+def test_runaway_long_result_ends_within_the_budget(long_db, monkeypatch):
+    # The first batch comes at once; the budget interrupts the engine count,
+    # then the fetch loop, which reports it.
+    monkeypatch.setattr(validate, "EXECUTION_BUDGET_S", BUDGET_S)
+    sql = "SELECT a.n, b.label FROM g a, g b, g c"
+    counted = spy_engine_count(monkeypatch)
+    start = time.monotonic()
+    report = validate_execution(sql, long_db)
+    assert BUDGET_S <= time.monotonic() - start < BUDGET_S + SLACK_S
+    got = (report.level1, report.row_count, tuple(v.message for v in report.violations))
+    assert got == reference_level1(sql, long_db)
+    assert got[2] == (f"interrupted: query ran past the {BUDGET_S:g} s execution budget",)
+    assert counted == [None]
+    assert_reusable(long_db)
+
+
+@pytest.mark.parametrize(
+    "sql, rows",
+    [
+        ("SELECT x, s FROM bad_text", LONG_ROWS),
+        ("SELECT x, s FROM bad_text WHERE x < 5", 4),
+        ("SELECT s FROM bad_text WHERE x = 9000", 1),
+    ],
+    ids=["long", "first_batch_row_1", "first_batch_row_9000"],
+)
+def test_result_text_is_not_decoded(db, sql, rows):
+    # Rows 1 and 9000 hold TEXT that is not UTF-8. Level 1 reads no value and
+    # re-planning cannot repair the data's encoding, so level 1 passes
+    # wherever the value falls; a decoding fetch fails.
+    writer = sqlite3.connect(db)
+    writer.executescript(f"""
+        CREATE TABLE bad_text (x INTEGER, s TEXT);
+        INSERT INTO bad_text
+        WITH RECURSIVE k(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM k WHERE x < {LONG_ROWS})
+        SELECT x, CASE WHEN x IN (1, 9000) THEN CAST(x'ff' AS TEXT) ELSE 'r' || x END FROM k;
+    """)
+    writer.close()
+    report = validate_execution(sql, db)
+    assert (report.level1, report.row_count, report.violations) == (True, rows, ())
+    assert_reusable(db)
+    level1, _rows, (message,) = reference_level1(sql, db)
+    assert level1 is False and message.startswith("Could not decode to UTF-8 column 's'")
+
+
+# ---------------------------------------------------------------------------
+# double-quoted strings
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sql",
+    ['SELECT amt FROM orders WHERE name = "bob"', 'SELECT "ghost" FROM orders'],
+    ids=["literal_meant", "column_meant"],
+)
+def test_double_quoted_name_of_no_column_is_a_string(tmp_path, sql):
+    # SQLite reads a double-quoted name that matches no column as a string
+    # literal, and level 1 follows it. Telling a misspelt column from a meant
+    # literal waits for the engine's read set in level 2.
+    path = tmp_path / "orders.db"
+    writer = sqlite3.connect(path)
+    writer.execute("CREATE TABLE orders (name TEXT, amt REAL)")
+    writer.execute("INSERT INTO orders VALUES ('bob', 9.5)")
+    writer.commit()
+    writer.close()
+    report = validate_execution(sql, path)
+    assert (report.level1, report.row_count, report.violations) == (True, 1, ())

@@ -22,6 +22,7 @@ from joinscaffold.sqlcheck import (
     validate_math,
     validate_semantic,
 )
+from joinscaffold.sqlcheck import validate
 from joinscaffold.sqlcheck.validate import FETCH_BATCH_ROWS
 from joinscaffold.steiner import solve_steiner
 
@@ -67,6 +68,31 @@ def test_execution_engine_specific_function(company_db):
 def test_execution_infrastructure_error(tmp_path):
     with pytest.raises(InfrastructureError):
         validate_execution("SELECT 1", tmp_path / "absent.db")
+
+
+@pytest.mark.parametrize(
+    "level1_test",
+    [
+        test_execution_pass_records_rows,
+        test_execution_counts_rows_beyond_one_fetch_batch,
+        test_execution_missing_column,
+        test_execution_engine_specific_function,
+    ],
+    ids=lambda t: t.__name__,
+)
+def test_level1_with_one_row_fetch_batches(level1_test, company_db, monkeypatch):
+    # Every result with a row is then counted by the engine, to the same report.
+    monkeypatch.setattr(validate, "FETCH_BATCH_ROWS", 1)
+    level1_test(company_db)
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in corpus.CASES if c.name.startswith("l1_")], ids=lambda c: c.name
+)
+def test_level1_corpus_with_one_row_fetch_batches(case, company_db, monkeypatch):
+    expected = validate_execution(case.sql, company_db)
+    monkeypatch.setattr(validate, "FETCH_BATCH_ROWS", 1)
+    assert validate_execution(case.sql, company_db) == expected
 
 
 # ---------------------------------------------------------------------------
