@@ -282,10 +282,10 @@ def load_schema_from_database(path: Union[str, Path]) -> Schema:
             cur.execute(f"PRAGMA foreign_key_list({quote_identifier(name)})")
             for row in cur.fetchall():
                 # (id, seq, ref_table, from_col, to_col, ...); to_col may be
-                # NULL, meaning the referenced table's primary key.
-                ref_table, from_col, to_col = row[2], row[3], row[4]
+                # NULL, meaning column seq of the referenced table's primary key.
+                seq, ref_table, from_col, to_col = row[1], row[2], row[3], row[4]
                 if to_col is None:
-                    to_col = _primary_key_of(conn, ref_table)
+                    to_col = _primary_key_column(conn, ref_table, seq)
                 fks.append(ForeignKey(name, from_col, ref_table, to_col))
     except sqlite3.Error as exc:
         raise SchemaError(f"error reading database {path}: {exc}") from exc
@@ -320,11 +320,20 @@ def quote_identifier(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def _primary_key_of(conn: sqlite3.Connection, table: str) -> str:
-    for row in table_info(conn, table):
-        if row[5]:
-            return row[1]
-    raise SchemaError(f"foreign key references table {table!r} without a primary key")
+def _primary_key_column(conn: sqlite3.Connection, table: str, seq: int) -> str:
+    """Column ``seq`` (from 0) of ``table``'s primary key, in key order.
+
+    ``table_info`` gives each key column its 1-based position in the key,
+    which need not be its position among the columns.
+    """
+    key = {row[5]: row[1] for row in table_info(conn, table) if row[5]}
+    if not key:
+        raise SchemaError(f"foreign key references table {table!r} without a primary key")
+    if seq + 1 not in key:
+        raise SchemaError(
+            f"foreign key has more columns than the primary key of table {table!r}"
+        )
+    return key[seq + 1]
 
 
 def load_schema_from_document(text: Union[str, bytes]) -> Schema:

@@ -51,6 +51,7 @@ from .parser import (
     aggregates_in,
     columns_in,
     parse_sql,
+    tokenize,
     walk,
 )
 
@@ -200,6 +201,24 @@ def _query_connection(db_path: Union[str, Path]) -> sqlite3.Connection:
     return conn
 
 
+def _statement_body(sql: str) -> str:
+    """``sql`` cut after its last token other than ``;``.
+
+    The trailing semicolons go, with the blanks and comments between and
+    after them, so ``SELECT x FROM t; -- note`` can be wrapped. A comment
+    before the first of them stays; the wrapper's newline ends it. Text the
+    tokenizer rejects loses only its trailing blanks and semicolons.
+    """
+    try:
+        tokens = tokenize(sql)[:-2]  # without the two EOF tokens
+    except ParseError:
+        return sql.rstrip(" \t\n\v\f\r;")
+    end = len(tokens)
+    while end and tokens[end - 1].kind == "OP" and tokens[end - 1].value == ";":
+        end -= 1
+    return sql if end == len(tokens) else sql[: tokens[end].offset]
+
+
 def _engine_count(conn: sqlite3.Connection, sql: str, columns: int) -> Optional[int]:
     """The rows ``sql`` returns, counted by SQLite; ``None`` if the count fails.
 
@@ -213,7 +232,7 @@ def _engine_count(conn: sqlite3.Connection, sql: str, columns: int) -> Optional[
         return None
     names = ", ".join(f"c{i}" for i in range(columns))
     counts = ", ".join(f"count(c{i})" for i in range(columns))
-    body = sql.rstrip(" \t\n\v\f\r;")
+    body = _statement_body(sql)
     cur = conn.cursor()
     try:
         cur.execute(

@@ -6,11 +6,13 @@ expansion back to original paths, pruning) plus an exact oracle for
 verification and two simpler baseline planners for benchmarking. The closure
 holds only the entries its caller reads: KMB reads the pair (a, b) from row a
 for a < b, so the solve runs one Dijkstra from every terminal but the last,
-and each run stops once every terminal is settled.
-The oracle enumerates Steiner-vertex subsets; when the terminals are few
-against the non-terminals it first takes the optimum cost from the
-Dreyfus–Wagner dynamic program and enumerates only over the vertices that lie
-on some optimal tree.
+and the run from terminal t_i stops once the terminals after it are settled.
+The run from the first terminal waits for all of them, because the
+reachability check reads its row.
+The oracle enumerates Steiner-vertex subsets over one sorted, integer-scaled
+edge list; when the terminals are few against the non-terminals it first
+takes the optimum cost from the Dreyfus–Wagner dynamic program and enumerates
+only over the vertices that lie on some optimal tree.
 
 Determinism contract: every tie anywhere in the solve is broken the same way.
 Shortest paths order by (distance, hop count, vertex sequence); MST and
@@ -29,8 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .canonical import canonical_json
 from .costs import EdgeKey, SchemaGraph, edge_key
@@ -72,16 +73,17 @@ class MetricClosure:
     """Shortest distances plus the reconstructed path, from each source vertex.
 
     ``keys[source][target]`` holds the (distance, hops, path) key of every
-    target the run from ``source`` settled. Without ``targets`` every row is
-    full: a vertex missing from it is unreachable. With ``targets`` each run
-    stopped once every target was settled; a target missing from a row is
-    still unreachable (the run drained its component looking for it), but a
-    query for any other vertex outside the row raises ``SteinerError``.
+    vertex the run from ``source`` settled. ``targets`` maps a source to the
+    targets its run stopped at; a source it does not name has a full row, in
+    which a missing vertex is unreachable. In a stopped row a missing target
+    of that row is still unreachable (the run drained its component looking
+    for it), but a query for any other vertex outside the row raises
+    ``SteinerError``.
     """
 
     graph: SchemaGraph
     keys: dict[str, dict[str, PathKey]]
-    targets: Optional[frozenset[str]] = None
+    targets: Mapping[str, frozenset[str]] = field(default_factory=dict)
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -92,7 +94,7 @@ class MetricClosure:
         if row is None:
             raise SteinerError(f"metric closure has no row for source {u!r}")
         key = row.get(v)
-        if key is None and self.targets is not None and v not in self.targets:
+        if key is None and u in self.targets and v not in self.targets[u]:
             raise SteinerError(
                 f"metric closure row {u!r} stopped before {v!r}, which is not a target"
             )
@@ -113,7 +115,7 @@ class MetricClosure:
 def metric_closure(
     graph: SchemaGraph,
     sources: Optional[Iterable[str]] = None,
-    targets: Optional[Iterable[str]] = None,
+    targets: Optional[Iterable[str] | Mapping[str, Iterable[str]]] = None,
 ) -> MetricClosure:
     """Shortest-path rows from ``sources`` (every vertex when None).
 
@@ -123,9 +125,12 @@ def metric_closure(
     lexicographically smallest vertex sequence. The key only grows along a
     path (weights are non-negative, hops grow by one) and extending two
     paths by the same edge keeps their order, so a vertex's key is final when
-    it leaves the heap. When ``targets`` is given, each run stops as soon as
-    every target is settled (a run that cannot reach one drains its
-    component); when it is None, rows are full.
+    it leaves the heap.
+
+    ``targets`` is one set of vertices for every row, or a mapping from every
+    source to its own set. A row stops as soon as each of its targets is
+    settled (a run that cannot reach one drains its component); when
+    ``targets`` is None, rows are full.
 
     The heap holds (distance, hops, vertex) and each vertex keeps only its
     best predecessor; a path tuple is built once, when its vertex settles.
@@ -136,41 +141,69 @@ def metric_closure(
     hops), so the vertex order among such heap ties changes no settled key.
     """
     rows = graph.vertices if sources is None else sorted(set(sources))
-    wanted = None if targets is None else frozenset(targets)
+    if targets is not None and not isinstance(targets, Mapping):
+        targets = dict.fromkeys(rows, frozenset(targets))
+    wanted = {} if targets is None else {s: frozenset(targets[s]) for s in rows}
     return MetricClosure(
-        graph, {s: _shortest_paths_from(graph, s, wanted) for s in rows}, wanted
+        graph, {s: _shortest_paths_from(graph, s, wanted.get(s)) for s in rows}, wanted
     )
 
 
 def _shortest_paths_from(
     graph: SchemaGraph, source: str, targets: Optional[frozenset[str]]
 ) -> dict[str, PathKey]:
+    """One closure row: the settled keys of a Dijkstra run from ``source``.
+
+    ``dist`` holds each vertex's best distance so far (infinite until
+    reached) and ``best`` its (hops, predecessor), so the common relaxation,
+    one that improves nothing, costs one dict lookup and one comparison.
+    Settled neighbours are not skipped explicitly: vertices settle in
+    non-decreasing (distance, hops) order and a settled vertex keeps its
+    settled key, so a new candidate for it, at (distance + w, hops + 1) from
+    a vertex settled no earlier, is strictly above that key and neither the
+    improving branch nor the equal-key branch can fire.
+
+    With ``targets``, ``pending`` counts those not yet settled and the run
+    stops when it reaches 0 (at once for an empty set); without, it starts
+    at -1 and the row is full.
+    """
+    push, pop = heapq.heappush, heapq.heappop
+    neighbors = graph.weighted_neighbors
     settled: dict[str, PathKey] = {}
-    best: dict[str, tuple[float, int, Optional[str]]] = {source: (0.0, 0, None)}
+    dist = dict.fromkeys(graph.vertices, math.inf)
+    dist[source] = 0.0
+    best: dict[str, tuple[int, Optional[str]]] = {source: (0, None)}  # (hops, pred)
     heap: list[tuple[float, int, str]] = [(0.0, 0, source)]
-    pending = None if targets is None else set(targets)
+    wanted = targets or ()
+    pending = -1 if targets is None else len(targets)
     while heap:
-        distance, hops, v = heapq.heappop(heap)
+        distance, hops, v = pop(heap)
         if v in settled:
             continue  # a stale entry, superseded by a smaller key
-        pred = best[v][2]
+        pred = best[v][1]
         path = (v,) if pred is None else settled[pred][2] + (v,)
         settled[v] = (distance, hops, path)
-        if pending is not None:
-            pending.discard(v)
-            if not pending:
-                break
+        if v in wanted:
+            pending -= 1
+        if not pending:
+            break
         h = hops + 1
-        for n, w in graph.weighted_neighbors(v):
-            if n in settled:
-                continue
+        for n, w in neighbors(v):
             d = distance + w
-            current = best.get(n)
-            if current is None or d < current[0] or (d == current[0] and h < current[1]):
-                best[n] = (d, h, v)
-                heapq.heappush(heap, (d, h, n))
-            elif d == current[0] and h == current[1] and path < settled[current[2]][2]:
-                best[n] = (d, h, v)  # the same heap entry, now through a smaller path
+            known = dist[n]
+            if d > known:
+                continue
+            if d < known:
+                dist[n] = d
+                best[n] = (h, v)
+                push(heap, (d, h, n))
+            else:
+                known_hops, known_pred = best[n]
+                if h < known_hops:
+                    best[n] = (h, v)
+                    push(heap, (d, h, n))
+                elif h == known_hops and path < settled[known_pred][2]:
+                    best[n] = (h, v)  # the same heap entry, now through a smaller path
     return settled
 
 
@@ -194,15 +227,25 @@ class _UnionFind:
         return True
 
 
-def _kruskal(
-    vertices: Sequence[str], weighted_edges: Mapping[EdgeKey, float]
-) -> list[EdgeKey]:
-    """MST edges, candidates ordered by (weight, endpoint, endpoint)."""
+def _by_weight(weighted_edges: Mapping[EdgeKey, float]) -> list[EdgeKey]:
+    """The edges in Kruskal's candidate order: (weight, endpoint, endpoint)."""
+    return sorted(weighted_edges, key=lambda e: (weighted_edges[e], e))
+
+
+def _kruskal(vertices: Collection[str], edges: Iterable[EdgeKey]) -> list[EdgeKey]:
+    """Spanning-forest edges, taking ``edges`` in the given order.
+
+    Given in ``_by_weight`` order, the result is the MST. Stops once it holds
+    |V| - 1 edges, which span ``vertices``.
+    """
     uf = _UnionFind(vertices)
-    chosen = []
-    for (a, b), w in sorted(weighted_edges.items(), key=lambda kv: (kv[1], kv[0])):
+    chosen: list[EdgeKey] = []
+    spanning = len(vertices) - 1
+    for a, b in edges:
         if uf.union(a, b):
             chosen.append((a, b))
+            if len(chosen) == spanning:
+                break
     return chosen
 
 
@@ -316,7 +359,7 @@ def mst_on_terminals(
         for i, a in enumerate(terminals)
         for b in terminals[i + 1 :]
     }
-    return _kruskal(terminals, candidates)
+    return _kruskal(terminals, _by_weight(candidates))
 
 
 def expand_to_paths(
@@ -355,7 +398,7 @@ def prune_to_tree(
     if len(groups) > 1:
         raise SteinerError("input subgraph does not span the terminals")
 
-    tree = {e: subgraph[e] for e in _kruskal(sorted(vertices), subgraph)}
+    tree = {e: subgraph[e] for e in _kruskal(vertices, _by_weight(subgraph))}
 
     # Iterative removal of non-terminal leaves, in sorted vertex order.
     terminal_set = set(terminals)
@@ -381,8 +424,11 @@ def solve_steiner(graph: SchemaGraph, terminals: Sequence[str]) -> SteinerScaffo
     terminals = _check_terminals(graph, terminals)
     if len(terminals) == 1:
         return SteinerScaffold.build(terminals, {})
-    # KMB reads row a only for pairs a < b, so the last terminal needs no row.
-    closure = metric_closure(graph, terminals[:-1], targets=terminals)
+    # KMB reads row a only for pairs a < b, so the last terminal needs no row
+    # and each row stops at the terminals after its source. The first row
+    # waits for all of them: the reachability check in mst_on_terminals reads it.
+    targets = {t: terminals[i + 1 :] for i, t in enumerate(terminals[:-1])}
+    closure = metric_closure(graph, terminals[:-1], targets=targets)
     mst = mst_on_terminals(closure, terminals)
     subgraph = expand_to_paths(mst, closure)
     return prune_to_tree(subgraph, terminals)
@@ -396,6 +442,17 @@ def _decimal_ratio(w: float) -> tuple[int, int]:
     return Decimal(repr(w)).as_integer_ratio()
 
 
+def _scaled_weights(weights: Iterable[float]) -> tuple[dict[float, int], int]:
+    """Each distinct weight as an integer over the common denominator of all.
+
+    ``scaled[w] / denominator`` is ``w``'s decimal value (``_decimal_ratio``),
+    so sums and comparisons of scaled weights are exact.
+    """
+    exact = {w: _decimal_ratio(w) for w in set(weights)}
+    denominator = math.lcm(1, *(d for _n, d in exact.values()))
+    return {w: n * (denominator // d) for w, (n, d) in exact.items()}, denominator
+
+
 def _dreyfus_wagner(
     graph: SchemaGraph, terminals: Sequence[str]
 ) -> tuple[dict[str, int], int]:
@@ -406,16 +463,14 @@ def _dreyfus_wagner(
     mask first joins two complementary sub-masks at a common vertex, then one
     Dijkstra relaxation extends those trees along paths. Every weight is
     scaled to an integer over the common denominator of its decimal value
-    (``_decimal_ratio``), so comparisons are exact and agree with the
-    oracle's rational totals.
+    (``_scaled_weights``), so comparisons are exact and agree with the
+    oracle's totals.
 
     Returns the full-mask row and the denominator: ``row[v] / denominator``
     is the cost for ``v``, and a vertex the terminals cannot reach has no
     entry.
     """
-    exact = {w: _decimal_ratio(w) for w in {c.total for c in graph.edges.values()}}
-    denominator = math.lcm(1, *(d for _n, d in exact.values()))
-    scaled = {w: n * (denominator // d) for w, (n, d) in exact.items()}
+    scaled, denominator = _scaled_weights(c.total for c in graph.edges.values())
     adjacency = {
         v: [(n, scaled[w]) for n, w in graph.weighted_neighbors(v)]
         for v in graph.vertices
@@ -480,9 +535,11 @@ def exact_steiner_oracle(graph: SchemaGraph, terminals: Sequence[str]) -> Steine
 
     For each subset S of the candidate non-terminals, take the MST of the
     subgraph induced by terminals ∪ S when it spans that vertex set, and
-    return the global minimum (exact rational totals; ties broken by the
-    lexicographic edge list). When the dynamic program is cheaper than the
-    full enumeration (few terminals, many non-terminals), it gives the
+    return the global minimum (exact totals over integer-scaled weights; ties
+    broken by the lexicographic edge list). The edges are sorted and scaled
+    once; each subset filters that list and its Kruskal stops at |S| - 1
+    edges. When the dynamic program is cheaper than the full enumeration
+    (few terminals, many non-terminals), it gives the
     optimum cost OPT and, for every vertex v, the cheapest tree spanning the
     terminals plus v; only non-terminals whose cost equals OPT can lie on an
     optimal tree, so only they are candidates. Otherwise every non-terminal
@@ -505,26 +562,24 @@ def exact_steiner_oracle(graph: SchemaGraph, terminals: Sequence[str]) -> Steine
         row, _denominator = _dreyfus_wagner(graph, terminals)
         optimum = row[terminals[0]]
         candidates = [v for v in candidates if row.get(v) == optimum]
-    best: Optional[tuple[Fraction, tuple, dict]] = None
+    pool = terminal_set.union(candidates)
+    ordered = sorted(
+        (c.total, e) for e, c in graph.edges.items() if e[0] in pool and e[1] in pool
+    )
+    scaled, _denominator = _scaled_weights(w for w, _e in ordered)
+    cost = {e: scaled[w] for w, e in ordered}  # in Kruskal's (weight, key) order
+    best: Optional[tuple[int, tuple[EdgeKey, ...]]] = None
     for r in range(len(candidates) + 1):
         for subset in itertools.combinations(candidates, r):
-            nodes = sorted(set(terminals) | set(subset))
-            node_set = set(nodes)
-            induced = {
-                (a, b): c.total
-                for (a, b), c in graph.edges.items()
-                if a in node_set and b in node_set
-            }
-            chosen = _kruskal(nodes, induced)
+            nodes = terminal_set.union(subset)
+            chosen = _kruskal(nodes, [e for e in cost if e[0] in nodes and e[1] in nodes])
             if len(chosen) != len(nodes) - 1:
                 continue  # induced subgraph does not span terminals ∪ subset
-            tree = {e: induced[e] for e in chosen}
-            total = sum((Fraction(repr(w)) for w in tree.values()), start=Fraction(0))
-            candidate = (total, tuple(sorted(tree)), tree)
-            if best is None or candidate[:2] < best[:2]:
+            candidate = (sum(cost[e] for e in chosen), tuple(sorted(chosen)))
+            if best is None or candidate < best:
                 best = candidate
     assert best is not None  # reachability was checked above
-    return SteinerScaffold.build(terminals, best[2])
+    return SteinerScaffold.build(terminals, {e: graph.edges[e].total for e in best[1]})
 
 
 def baseline_shortest_path_combination(
@@ -559,7 +614,7 @@ def baseline_mst_on_terminal_subgraph(
         for (a, b), c in graph.edges.items()
         if a in terminal_set and b in terminal_set
     }
-    chosen = _kruskal(terminals, induced)
+    chosen = _kruskal(terminals, _by_weight(induced))
     if len(chosen) != len(terminals) - 1:
         adjacency: dict[str, list[str]] = {t: [] for t in terminals}
         for a, b in induced:

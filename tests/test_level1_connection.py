@@ -375,7 +375,10 @@ PARITY = {
     "where_error": (f"SELECT x FROM big WHERE {OVERFLOW} > 0", "error"),
     "trailing_semicolon": ("SELECT x, s FROM big;", "engine"),
     "trailing_semicolon_and_blanks": ("SELECT x FROM big ;\n  ", "engine"),
-    "semicolon_then_comment": ("SELECT x FROM big; -- every row", "fetch"),
+    "semicolon_then_comment": ("SELECT x FROM big; -- every row", "engine"),
+    "semicolon_then_block_comment": ("SELECT x FROM big; /* c */", "engine"),
+    "semicolon_then_comment_line": ("SELECT x FROM big;\n-- c", "engine"),
+    "comment_marker_in_a_string": ("SELECT x, '--' FROM big;", "engine"),
     "trailing_line_comment": ("SELECT x FROM big -- every row", "engine"),
     "unterminated_block_comment": ("SELECT x FROM big /* every row", "fetch"),
     "table_named_like_the_cte": (f"SELECT c0 FROM {validate._COUNT_CTE}", "fetch"),

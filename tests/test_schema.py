@@ -64,6 +64,45 @@ def test_fk_ends_in_another_ascii_case_name_the_declared_table_and_column(tmp_pa
     assert schema.fk_neighbors["a"] == ("b", "c")
 
 
+@pytest.mark.parametrize(
+    "key, mapped",
+    [
+        ("x, y", {"px": "x", "py": "y"}),
+        ("y, x", {"px": "y", "py": "x"}),
+    ],
+)
+def test_composite_fk_without_parent_columns_follows_the_key_order(tmp_path, key, mapped):
+    # FOREIGN KEY(px, py) REFERENCES p pairs px with the key's first column
+    # and py with its second, in key order, not in column order.
+    path = tmp_path / "composite.db"
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        f"""
+        CREATE TABLE p (x INTEGER, y INTEGER, PRIMARY KEY ({key}));
+        CREATE TABLE c (px INTEGER, py INTEGER, FOREIGN KEY (px, py) REFERENCES p);
+        """
+    )
+    conn.close()
+    schema = load_schema_from_database(path)
+    assert schema.foreign_keys == tuple(
+        ForeignKey("c", child, "p", parent) for child, parent in sorted(mapped.items())
+    )
+
+
+def test_fk_with_more_columns_than_the_parent_key_is_refused(tmp_path):
+    path = tmp_path / "longfk.db"
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE p (x INTEGER PRIMARY KEY, y INTEGER);
+        CREATE TABLE c (px INTEGER, py INTEGER, FOREIGN KEY (px, py) REFERENCES p);
+        """
+    )
+    conn.close()
+    with pytest.raises(SchemaError, match="more columns than the primary key of table 'p'"):
+        load_schema_from_database(path)
+
+
 def test_load_database_is_deterministic(two_table_db):
     assert load_schema_from_database(two_table_db) == load_schema_from_database(two_table_db)
 

@@ -18,7 +18,6 @@ from joinscaffold.steiner import (
     SteinerScaffold,
     _connected_groups,
     _dreyfus_wagner,
-    _kruskal,
     baseline_mst_on_terminal_subgraph,
     baseline_shortest_path_combination,
     exact_steiner_oracle,
@@ -241,6 +240,32 @@ def test_rows_stopped_at_targets_agree_with_full_rows(seed, pick):
                     query(source, other)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**48), st.integers(0, 2**48))
+def test_rows_stopped_at_their_own_targets_agree_with_full_rows(seed, pick):
+    graph = seeded_closure_graph(seed)
+    rng = SplitMix64(pick)
+    sources = rng.sample(graph.vertices, rng.randint(1, len(graph.vertices)))
+    own = {
+        s: set(rng.sample(graph.vertices, rng.randint(0, len(graph.vertices))))
+        for s in sources
+    }
+    full = metric_closure(graph)
+    stopped = metric_closure(graph, sources, targets=own)
+    assert set(stopped.keys) == set(sources)
+    for source in sources:
+        row, full_row = stopped.keys[source], full.keys[source]
+        assert all(full_row[v] == key for v, key in row.items())
+        for target in own[source]:
+            assert stopped.reachable(source, target) == (target in full_row)
+            assert stopped.distance(source, target) == full.distance(source, target)
+            assert stopped.path(source, target) == full.path(source, target)
+        for other in set(graph.vertices) - set(row) - own[source]:
+            for query in (stopped.reachable, stopped.distance, stopped.path):
+                with pytest.raises(SteinerError, match="not a target"):
+                    query(source, other)
+
+
 @pytest.mark.parametrize("nodes", [20, 50, 80])
 def test_kmb_scaffold_equals_kmb_on_reference_closure(nodes):
     for seed in range(6):
@@ -276,13 +301,32 @@ def test_exact_total_equals_the_fraction_sum(costs):
 # ---------------------------------------------------------------------------
 
 
+def reference_kruskal(vertices, weighted_edges):
+    """MST edges, candidates ordered by (weight, endpoint, endpoint)."""
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    chosen = []
+    for (a, b), _w in sorted(weighted_edges.items(), key=lambda kv: (kv[1], kv[0])):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+            chosen.append((a, b))
+    return chosen
+
+
 def enumerating_oracle(graph, terminals):
     """Reference oracle: the MST of every spanning terminals ∪ S, over all S.
 
     This is the oracle's former body, which enumerated every subset S of the
-    non-terminals instead of the candidates the Dreyfus–Wagner optimum leaves.
-    Exact rational totals; ties broken by the lexicographic edge list.
-    O(2^(V-T)) MSTs.
+    non-terminals instead of the candidates the Dreyfus–Wagner optimum leaves,
+    with its own Kruskal and one Fraction per edge, so it shares no MST or
+    total with the code under test. Exact rational totals; ties broken by the
+    lexicographic edge list. O(2^(V-T)) MSTs.
     """
     terminals = sorted(set(terminals))
     non_terminals = [v for v in graph.vertices if v not in set(terminals)]
@@ -296,7 +340,7 @@ def enumerating_oracle(graph, terminals):
                 for (a, b), c in graph.edges.items()
                 if a in node_set and b in node_set
             }
-            chosen = _kruskal(nodes, induced)
+            chosen = reference_kruskal(nodes, induced)
             if len(chosen) != len(nodes) - 1:
                 continue
             tree = {e: induced[e] for e in chosen}
