@@ -257,9 +257,6 @@ class SchemaGraph:
 
     vertices: tuple[str, ...]
     edges: Mapping[EdgeKey, EdgeCost]
-    _adjacency: dict[str, tuple[str, ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     _weighted_adjacency: dict[str, tuple[tuple[str, float], ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -281,9 +278,6 @@ class SchemaGraph:
             adj[b].append((a, cost.total))
         weighted = {v: tuple(sorted(ns, key=itemgetter(0))) for v, ns in adj.items()}
         object.__setattr__(self, "_weighted_adjacency", weighted)
-        object.__setattr__(
-            self, "_adjacency", {v: tuple(n for n, _w in ns) for v, ns in weighted.items()}
-        )
 
     @classmethod
     def from_weights(
@@ -308,7 +302,7 @@ class SchemaGraph:
         return self.edges[edge_key(a, b)].total
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        return self._adjacency[v]
+        return tuple(n for n, _w in self._weighted_adjacency[v])
 
     def weighted_neighbors(self, v: str) -> tuple[tuple[str, float], ...]:
         """(neighbour, edge total) pairs in sorted neighbour order."""

@@ -136,14 +136,20 @@ def _parse_literal(text: str):
     return text
 
 
+def parse_numeric_date(text: str) -> Optional[_dt.date]:
+    """``YYYY-MM-DD`` or ``YYYYMMDD`` as a date; None for any other text and
+    for an impossible date such as ``2024-02-30``."""
+    m = re.fullmatch(r"(\d{4})(-?)(\d{2})\2(\d{2})", text)  # both dashes or neither
+    if m is None:
+        return None
+    try:
+        return _dt.date(int(m.group(1)), int(m.group(3)), int(m.group(4)))
+    except ValueError:
+        return None
+
+
 def _parse_date_phrase(text: str, year: Optional[int]) -> Optional[_dt.date]:
     text = text.strip().strip(",")
-    m = re.fullmatch(r"(\d{4})-(\d{2})-(\d{2})", text)
-    if m:
-        return _dt.date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    m = re.fullmatch(r"(\d{4})(\d{2})(\d{2})", text)
-    if m:
-        return _dt.date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
     m = re.fullmatch(
         r"([A-Za-z]+)\s+(\d{1,2})(?:\s*,?\s*(\d{4}))?", text
     )
@@ -158,7 +164,7 @@ def _parse_date_phrase(text: str, year: Optional[int]) -> Optional[_dt.date]:
             return _dt.date(y, month, int(m.group(2)))
         except ValueError:
             return None
-    return None
+    return parse_numeric_date(text)
 
 
 def _trim_target(raw: str) -> str:

@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 from ..canonical import canonical_json
 from ..costs import CostWeights, DEFAULT_WEIGHTS
-from ..decompose import MathEntity, TerminalSet, matching_names
+from ..decompose import MathEntity, TerminalSet, matching_names, parse_numeric_date
 from ..embedding import EmbeddingProvider, default_provider
 from ..schema import Schema, SchemaError, connect_read_only, fold_name
 from ..steiner import SteinerScaffold
@@ -572,23 +572,11 @@ def _agg_violations(
     return violations
 
 
-_DATE_PATTERNS = (
-    re.compile(r"^(\d{4})-(\d{2})-(\d{2})$"),
-    re.compile(r"^(\d{4})(\d{2})(\d{2})$"),
-)
-
-
 def _as_date(value) -> Optional[_dt.date]:
     if isinstance(value, _dt.date):
         return value
     if isinstance(value, str):
-        for pat in _DATE_PATTERNS:
-            m = pat.match(value.strip())
-            if m:
-                try:
-                    return _dt.date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-                except ValueError:
-                    return None
+        return parse_numeric_date(value.strip())
     return None
 
 

@@ -59,13 +59,13 @@ class GraphTooLargeError(SteinerError):
 def exact_total(costs: Iterable[float]) -> float:
     """Sum edge costs exactly over their decimal representations.
 
-    The decimal numerators are summed over their common denominator and
-    divided once; integer true division is correctly rounded, so the result
-    equals ``float`` of the exact rational sum.
+    The costs scaled over their common denominator (``_scaled_weights``) are
+    summed and divided once; integer true division is correctly rounded, so
+    the result equals ``float`` of the exact rational sum.
     """
-    ratios = [_decimal_ratio(c) for c in costs]
-    denominator = math.lcm(1, *(d for _n, d in ratios))
-    return sum(n * (denominator // d) for n, d in ratios) / denominator
+    costs = list(costs)
+    scaled, denominator = _scaled_weights(costs)
+    return sum(scaled[c] for c in costs) / denominator
 
 
 @dataclass(frozen=True)
@@ -286,12 +286,8 @@ class SteinerScaffold:
             raise SteinerError("scaffold does not span its terminals")
         if len(self.edges) != len(vset) - 1:
             raise SteinerError("scaffold is not a tree (|E| != |V|-1)")
-        adjacency: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for a, b, _w in self.edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        groups = _connected_groups(adjacency.__getitem__, self.vertices)
-        if len(groups) > 1:
+        uf = _UnionFind(self.vertices)  # |V| - 1 edges, none closing a cycle
+        if not all(uf.union(a, b) for a, b, _w in self.edges):
             raise SteinerError("scaffold is not connected")
 
     @classmethod
@@ -382,40 +378,35 @@ def prune_to_tree(
     """Cycle removal (via MST of the subgraph) plus iterative leaf pruning.
 
     Cheapest edges win; within equal cost the lexicographically later edge is
-    the one dropped from a cycle. Non-terminal degree-1 vertices are removed
-    until none remain.
+    the one dropped from a cycle. The MST's forest spans the terminals and
+    the subgraph's vertices exactly when it has |V| - 1 edges. Non-terminal
+    leaves are then removed one at a time until none remain. Iterative leaf
+    removal always ends at the one subtree that spans the terminals, so the
+    removal order does not matter.
     """
     terminals = tuple(sorted(set(terminals)))
     vertices = set(terminals)
     for a, b in subgraph:
         vertices.add(a)
         vertices.add(b)
-    adjacency: dict[str, set[str]] = {v: set() for v in vertices}
-    for a, b in subgraph:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    groups = _connected_groups(adjacency.__getitem__, sorted(vertices))
-    if len(groups) > 1:
+    chosen = _kruskal(vertices, _by_weight(subgraph))
+    if len(chosen) != len(vertices) - 1:
         raise SteinerError("input subgraph does not span the terminals")
 
-    tree = {e: subgraph[e] for e in _kruskal(vertices, _by_weight(subgraph))}
-
-    # Iterative removal of non-terminal leaves, in sorted vertex order.
+    tree = {e: subgraph[e] for e in chosen}
+    adjacency: dict[str, set[str]] = {v: set() for v in vertices}
+    for a, b in tree:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
     terminal_set = set(terminals)
-    while True:
-        degree: dict[str, int] = {}
-        for a, b in tree:
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
-        leaves = sorted(
-            v for v, d in degree.items() if d == 1 and v not in terminal_set
-        )
-        if not leaves:
-            break
-        doomed = set(leaves)
-        tree = {
-            (a, b): w for (a, b), w in tree.items() if a not in doomed and b not in doomed
-        }
+    leaves = [v for v, ns in adjacency.items() if len(ns) == 1 and v not in terminal_set]
+    while leaves:
+        leaf = leaves.pop()
+        for n in adjacency.pop(leaf):  # none when its neighbour was removed first
+            adjacency[n].remove(leaf)
+            del tree[edge_key(leaf, n)]
+            if len(adjacency[n]) == 1 and n not in terminal_set:
+                leaves.append(n)
     return SteinerScaffold.build(terminals, tree)
 
 
@@ -454,23 +445,20 @@ def _scaled_weights(weights: Iterable[float]) -> tuple[dict[float, int], int]:
 
 
 def _dreyfus_wagner(
-    graph: SchemaGraph, terminals: Sequence[str]
-) -> tuple[dict[str, int], int]:
+    graph: SchemaGraph, terminals: Sequence[str], scaled: Mapping[float, int]
+) -> dict[str, int]:
     """Exact cost of the cheapest tree spanning ``terminals`` plus each vertex.
 
     The dynamic program of Dreyfus and Wagner (Networks, 1971): ``dp[mask][v]``
     is the cheapest tree spanning the terminals in ``mask`` plus ``v``. Each
     mask first joins two complementary sub-masks at a common vertex, then one
-    Dijkstra relaxation extends those trees along paths. Every weight is
-    scaled to an integer over the common denominator of its decimal value
-    (``_scaled_weights``), so comparisons are exact and agree with the
-    oracle's totals.
+    Dijkstra relaxation extends those trees along paths. ``scaled`` maps each
+    edge total to an integer over a common denominator (``_scaled_weights``),
+    so comparisons are exact and agree with the oracle's totals.
 
-    Returns the full-mask row and the denominator: ``row[v] / denominator``
-    is the cost for ``v``, and a vertex the terminals cannot reach has no
-    entry.
+    Returns the full-mask row: ``row[v]``, over that denominator, is the cost
+    for ``v``, and a vertex the terminals cannot reach has no entry.
     """
-    scaled, denominator = _scaled_weights(c.total for c in graph.edges.values())
     adjacency = {
         v: [(n, scaled[w]) for n, w in graph.weighted_neighbors(v)]
         for v in graph.vertices
@@ -503,7 +491,7 @@ def _dreyfus_wagner(
                     row[n] = total
                     heapq.heappush(heap, (total, n))
         dp.append(row)
-    return dp[-1], denominator
+    return dp[-1]
 
 
 MAX_ORACLE_VERTICES = 14
@@ -536,10 +524,11 @@ def exact_steiner_oracle(graph: SchemaGraph, terminals: Sequence[str]) -> Steine
     For each subset S of the candidate non-terminals, take the MST of the
     subgraph induced by terminals ∪ S when it spans that vertex set, and
     return the global minimum (exact totals over integer-scaled weights; ties
-    broken by the lexicographic edge list). The edges are sorted and scaled
-    once; each subset filters that list and its Kruskal stops at |S| - 1
-    edges. When the dynamic program is cheaper than the full enumeration
-    (few terminals, many non-terminals), it gives the
+    broken by the lexicographic edge list). Every edge total is scaled once,
+    and the dynamic program and the enumeration share that scaling; the
+    candidate edges are sorted once, each subset filters that list and its
+    Kruskal stops at |S| - 1 edges. When the dynamic program is cheaper than
+    the full enumeration (few terminals, many non-terminals), it gives the
     optimum cost OPT and, for every vertex v, the cheapest tree spanning the
     terminals plus v; only non-terminals whose cost equals OPT can lie on an
     optimal tree, so only they are candidates. Otherwise every non-terminal
@@ -558,15 +547,15 @@ def exact_steiner_oracle(graph: SchemaGraph, terminals: Sequence[str]) -> Steine
 
     terminal_set = set(terminals)
     candidates = [v for v in graph.vertices if v not in terminal_set]
+    scaled, _denominator = _scaled_weights(c.total for c in graph.edges.values())
     if _dreyfus_wagner_is_cheaper(graph, len(terminals)):
-        row, _denominator = _dreyfus_wagner(graph, terminals)
+        row = _dreyfus_wagner(graph, terminals, scaled)
         optimum = row[terminals[0]]
         candidates = [v for v in candidates if row.get(v) == optimum]
     pool = terminal_set.union(candidates)
     ordered = sorted(
         (c.total, e) for e, c in graph.edges.items() if e[0] in pool and e[1] in pool
     )
-    scaled, _denominator = _scaled_weights(w for w, _e in ordered)
     cost = {e: scaled[w] for w, e in ordered}  # in Kruskal's (weight, key) order
     best: Optional[tuple[int, tuple[EdgeKey, ...]]] = None
     for r in range(len(candidates) + 1):
@@ -592,13 +581,8 @@ def baseline_shortest_path_combination(
     first = terminals[0]
     closure = metric_closure(graph, [first], targets=terminals)
     _require_reachable_in_closure(closure, terminals)
-    subgraph: dict[EdgeKey, float] = {}
-    for other in terminals[1:]:
-        path = closure.path(first, other)
-        assert path is not None
-        for u, v in zip(path, path[1:]):
-            subgraph[edge_key(u, v)] = graph.weight(u, v)
-    return prune_to_tree(subgraph, terminals)
+    star = [(first, t) for t in terminals[1:]]
+    return prune_to_tree(expand_to_paths(star, closure), terminals)
 
 
 def baseline_mst_on_terminal_subgraph(
@@ -616,11 +600,10 @@ def baseline_mst_on_terminal_subgraph(
     }
     chosen = _kruskal(terminals, _by_weight(induced))
     if len(chosen) != len(terminals) - 1:
-        adjacency: dict[str, list[str]] = {t: [] for t in terminals}
-        for a, b in induced:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        raise DisconnectedTerminalsError(_connected_groups(adjacency.__getitem__, terminals))
+        groups = _connected_groups(
+            lambda v: [n for n in graph.neighbors(v) if n in terminal_set], terminals
+        )
+        raise DisconnectedTerminalsError(groups)
     return SteinerScaffold.build(terminals, {e: induced[e] for e in chosen})
 
 

@@ -232,6 +232,13 @@ def test_plan_analytics_golden(capsys, analytics_schema_file):
     assert [t["table"] for t in doc["terminals"]] == ["ga_sessions", "hits", "totals"]
 
 
+def test_plan_question_with_an_impossible_date(capsys, analytics_schema_file):
+    question = "How many hits between 2024-02-30 and 2024-03-05?"
+    code, out, err = run_cli(capsys, "plan", question, analytics_schema_file)
+    assert (code, err) == (0, "")
+    assert [e["kind"] for e in json.loads(out)["entities"]] == ["aggregation"]
+
+
 def test_validate_passing_fixture(capsys, analytics_schema_file, analytics_db, tmp_path, override_file):
     _code, scaffold_out, _err = run_cli(
         capsys,

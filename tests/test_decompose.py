@@ -79,6 +79,16 @@ def test_extract_date_range_with_trailing_year():
     )
 
 
+@pytest.mark.parametrize("impossible", ["2024-02-30", "20240230"])
+def test_extract_impossible_numeric_date_yields_no_range(impossible):
+    for lo, hi in [(impossible, "2024-03-05"), ("2024-01-05", impossible)]:
+        entities = extract_entities(f"How many orders between {lo} and {hi}, by day?")
+        assert not [e for e in entities if e.kind in ("temporal", "range")]
+    entities = extract_entities("How many orders between 20240201 and 2024-03-05, by day?")
+    (temporal,) = [e for e in entities if e.kind == "temporal"]
+    assert temporal.literals == (datetime.date(2024, 2, 1), datetime.date(2024, 3, 5))
+
+
 def test_extract_numeric_range():
     entities = extract_entities("orders with totals between 5 and 10")
     ranges = [e for e in entities if e.kind == "range"]

@@ -1,3 +1,4 @@
+import datetime
 import sqlite3
 
 import pytest
@@ -253,6 +254,19 @@ def test_constraint_on_similar_column_beside_exact_one():
     ok, violations = validate_math(ast, (MathEntity("comparison", ">", ("revenue",), (200,)),))
     assert not ok
     assert [v.code for v in violations] == ["CONSTRAINT_MISMATCH"]
+
+
+def test_date_literals_compare_in_either_numeric_form():
+    entity = MathEntity(
+        "temporal", "BETWEEN", (), (datetime.date(2024, 2, 1), datetime.date(2024, 3, 5))
+    )
+    for sql, ok in [
+        ("SELECT id FROM sales WHERE day BETWEEN '2024-02-01' AND '20240305'", True),
+        ("SELECT id FROM sales WHERE day >= ' 20240201 ' AND day <= '2024-03-05'", True),
+        ("SELECT id FROM sales WHERE day BETWEEN '2024-02-30' AND '2024-03-05'", False),
+        ("SELECT id FROM sales WHERE day BETWEEN '2024-0201' AND '2024-03-05'", False),
+    ]:
+        assert validate_math(parse_sql(sql), (entity,))[0] is ok, sql
 
 
 def test_between_entity_matches_inequality_pair(company_db, company_schema):

@@ -491,6 +491,14 @@ def test_all_planners_agree_on_appendix_case():
         assert planner(g, terminals).total_cost == 0.17
 
 
+def test_mst_baseline_groups_terminals_by_terminal_edges_only():
+    # tc reaches ta and tb only through the non-terminal hub.
+    g = graph_of({("ta", "tb"): 0.1, ("tb", "hub"): 0.1, ("tc", "hub"): 0.1})
+    with pytest.raises(DisconnectedTerminalsError) as err:
+        baseline_mst_on_terminal_subgraph(g, ["tc", "tb", "ta"])
+    assert err.value.groups == (("ta", "tb"), ("tc",))
+
+
 def test_mst_baseline_fails_or_loses_on_hub():
     hub_only = graph_of(
         {("ta", "hub"): 0.1, ("tb", "hub"): 0.1, ("tc", "hub"): 0.1}
@@ -557,6 +565,28 @@ def test_decimal_ratio_equals_the_fraction_of_the_decimal_value(w):
 
 def test_dreyfus_wagner_scales_over_the_common_decimal_denominator():
     graph = graph_of({("a", "b"): 0.1, ("b", "c"): 123.456, ("a", "c"): 0.000001})
-    row, denominator = steiner._dreyfus_wagner(graph, ["a", "c"])
+    scaled, denominator = steiner._scaled_weights(c.total for c in graph.edges.values())
+    row = steiner._dreyfus_wagner(graph, ["a", "c"], scaled)
     assert denominator == 1_000_000
     assert row == {"a": 1, "c": 1, "b": 100_001}
+
+
+def test_oracle_scales_the_graph_weights_once_per_call(monkeypatch):
+    # One scaling of every edge total serves the dynamic program and the
+    # enumeration; the scaffold's exact_total is the only other call.
+    calls = []
+    scaled_weights = steiner._scaled_weights
+
+    def counted(weights):
+        weights = list(weights)
+        calls.append(sorted(weights))
+        return scaled_weights(weights)
+
+    monkeypatch.setattr(steiner, "_scaled_weights", counted)
+    monkeypatch.setattr(steiner, "_dreyfus_wagner_is_cheaper", lambda *_: True)
+    graph = random_connected_graph(12, SplitMix64(12))
+    scaffold = exact_steiner_oracle(graph, graph.vertices[:3])
+    assert calls == [
+        sorted(c.total for c in graph.edges.values()),
+        sorted(w for _a, _b, w in scaffold.edges),
+    ]

@@ -7,17 +7,18 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from joinscaffold import steiner
 from joinscaffold.bench import SplitMix64, random_connected_graph, random_terminals
-from joinscaffold.costs import SchemaGraph
+from joinscaffold.costs import SchemaGraph, edge_key
 from joinscaffold.steiner import (
     MetricClosure,
     SteinerError,
     SteinerScaffold,
     _connected_groups,
     _dreyfus_wagner,
+    _scaled_weights,
     baseline_mst_on_terminal_subgraph,
     baseline_shortest_path_combination,
     exact_steiner_oracle,
@@ -278,6 +279,84 @@ def test_kmb_scaffold_equals_kmb_on_reference_closure(nodes):
         assert scaffold_document(solve_steiner(graph, terminals)) == expected
 
 
+def reference_prune_to_tree(subgraph, terminals):
+    """Reference pruning: the former ``prune_to_tree``.
+
+    A connectivity walk decides spanning; after the MST, every non-terminal
+    leaf is removed at once, round after round, recounting every degree.
+    """
+    terminals = tuple(sorted(set(terminals)))
+    vertices = set(terminals)
+    for a, b in subgraph:
+        vertices.add(a)
+        vertices.add(b)
+    adjacency = {v: set() for v in vertices}
+    for a, b in subgraph:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    if len(_connected_groups(adjacency.__getitem__, sorted(vertices))) > 1:
+        raise SteinerError("input subgraph does not span the terminals")
+    tree = {e: subgraph[e] for e in reference_kruskal(vertices, subgraph)}
+    terminal_set = set(terminals)
+    while True:
+        degree = {}
+        for a, b in tree:
+            degree[a] = degree.get(a, 0) + 1
+            degree[b] = degree.get(b, 0) + 1
+        doomed = {v for v, d in degree.items() if d == 1 and v not in terminal_set}
+        if not doomed:
+            break
+        tree = {(a, b): w for (a, b), w in tree.items() if a not in doomed and b not in doomed}
+    return SteinerScaffold.build(terminals, tree)
+
+
+PRUNE_VERTICES = "abcdefg"
+PRUNE_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1), st.just(0.5)
+)
+
+
+@st.composite
+def prune_inputs(draw):
+    """A subgraph over a few vertices with tied weights, often cyclic or
+    disconnected, plus a dangling chain z0-z1-... off ``a``, and terminals
+    that may be empty or lie outside the subgraph."""
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(PRUNE_VERTICES), st.sampled_from(PRUNE_VERTICES),
+                  PRUNE_WEIGHTS).filter(lambda e: e[0] != e[1]),
+        max_size=12,
+    ))
+    subgraph = {edge_key(a, b): w for a, b, w in edges}
+    chain = ["a"] + [f"z{i}" for i in range(draw(st.integers(0, 6)))]
+    for u, v in zip(chain, chain[1:]):
+        subgraph[edge_key(u, v)] = draw(PRUNE_WEIGHTS)
+    terminals = draw(st.lists(st.sampled_from(PRUNE_VERTICES + "".join(chain[1:])), max_size=5))
+    return subgraph, terminals
+
+
+def prune_outcome(prune, subgraph, terminals):
+    try:
+        return scaffold_document(prune(subgraph, terminals))
+    except SteinerError:
+        return "SteinerError"
+
+
+@settings(max_examples=400, deadline=None)
+@given(prune_inputs())
+@example(({("a", "b"): 0.5, ("b", "c"): 0.5, ("c", "d"): 0.5, ("a", "d"): 0.5}, ["a", "c"]))
+@example(({("a", "b"): 0.1, ("b", "c"): 0.1, ("c", "d"): 0.1, ("d", "e"): 0.1}, ["a"]))
+@example(({("a", "b"): 0.1, ("c", "d"): 0.1}, ["a", "b"]))
+@example(({("a", "b"): 0.1}, ["a", "g"]))
+@example(({("a", "b"): 0.1, ("b", "c"): 0.2}, []))
+@example(({}, []))
+@example(({}, ["a"]))
+def test_prune_equals_the_reference_pruning(case):
+    subgraph, terminals = case
+    assert prune_outcome(prune_to_tree, subgraph, terminals) == (
+        prune_outcome(reference_prune_to_tree, subgraph, terminals)
+    )
+
+
 def fraction_total(costs) -> float:
     """Reference exact total: the former ``exact_total``, one Fraction per cost."""
     return float(sum((Fraction(repr(c)) for c in costs), start=Fraction(0)))
@@ -397,7 +476,8 @@ def test_oracle_tree_equals_enumerating_reference(seed):
             assert scaffold_document(exact_steiner_oracle(graph, terminals)) == (
                 scaffold_document(expected)
             )
-    row, denominator = _dreyfus_wagner(graph, terminals)
+    scaled, denominator = _scaled_weights(c.total for c in graph.edges.values())
+    row = _dreyfus_wagner(graph, terminals, scaled)
     assert Fraction(row[terminals[0]], denominator) == optimum
     groups = _connected_groups(graph.neighbors, graph.vertices)
     assert set(row) == set(next(g for g in groups if terminals[0] in g))
@@ -413,7 +493,8 @@ def test_kmb_and_baselines_against_dreyfus_wagner_optimum(nodes):
         rng = SplitMix64(7000 * nodes + seed)
         graph = random_connected_graph(nodes, rng)
         terminals = sorted(rng.sample(graph.vertices, rng.randint(2, 6)))
-        row, denominator = _dreyfus_wagner(graph, terminals)
+        scaled, denominator = _scaled_weights(c.total for c in graph.edges.values())
+        row = _dreyfus_wagner(graph, terminals, scaled)
         optimum = Fraction(row[terminals[0]], denominator)
         assert all(Fraction(row[t], denominator) == optimum for t in terminals)
         assert optimum <= exact_cost(solve_steiner(graph, terminals)) <= 2 * optimum
